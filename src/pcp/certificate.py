@@ -23,15 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import ConvergenceError, _power_converged, ensure_matrix, spectral_norm
+from .linalg import ConvergenceError, ensure_matrix, spectral_norm, sqrt_top_eigenvalue
 from .problems import RANK_TOL, SupportSet
 from .rng import make_rng, mix_seed
 
-# tag for the operator-norm power iteration start matrix
+# tag for the operator-norm Lanczos start vector
 _OPNORM_SEED_TAG = 0x0113A7B5
 
 OPNORM_TOL = 1e-8
-OPNORM_ITERATION_CAP = 10_000
 
 
 @dataclass
@@ -105,12 +104,12 @@ def project_tangent_complement(M: np.ndarray, T: TangentSubspace) -> np.ndarray:
 
 
 def project_support(M: np.ndarray, omega: SupportSet) -> np.ndarray:
-    """Zero outside Omega, identity on Omega."""
-    return np.where(omega.mask, M, 0.0)
+    """Zero outside Omega, identity on Omega (zeros may come out as -0.0)."""
+    return M * omega.mask
 
 
 def project_support_complement(M: np.ndarray, omega: SupportSet) -> np.ndarray:
-    return np.where(omega.mask, 0.0, M)
+    return M * omega.complement_mask()
 
 
 def opnorm_support_tangent(
@@ -118,46 +117,36 @@ def opnorm_support_tangent(
     T: TangentSubspace,
     tol: float = OPNORM_TOL,
 ) -> float:
-    """||P_Omega P_T|| via power iteration on the composition P_T P_Omega P_T.
+    """||P_Omega P_T|| by Lanczos on P_T P_Omega P_T in tangent coordinates.
 
-    The composition is self-adjoint and positive semidefinite, so its top
-    eigenvalue is the squared norm sought; the returned value is its square
-    root. The start matrix is seeded from (n, r, |Omega|) only, making the
-    estimate reproducible. Never materializes the n^2 x n^2 operator.
+    With C(X, Y) = U X^T + (I - U U^T) Y V^T for n x r blocks X, Y, C C^T
+    = P_T, so C^T P_Omega C, acting on vectors of length 2nr, has the
+    nonzero spectrum of P_T P_Omega P_T; its top eigenvalue, found to
+    relative tolerance tol by lanczos_top_eigenvalue, is the squared norm
+    sought. Each step applies project_support once; the Lanczos basis holds
+    vectors of length 2nr, never n x n matrices. The start vector is seeded from
+    (n, r, |Omega|) only, making the value reproducible.
 
-    Raises ConvergenceError (with the best estimate attached) at the
-    iteration cap.
+    Raises ConvergenceError (with the best norm estimate attached) at the
+    step cap.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    n = omega.n
-    if T.r == 0 or omega.count == 0:
+    n, r = omega.n, T.r
+    if r == 0 or omega.count == 0:
         return 0.0
-    rng = make_rng(mix_seed(_OPNORM_SEED_TAG, n, T.r, omega.count))
-    M = project_tangent(rng.random((n, n)) - 0.5, T)
-    nm = np.linalg.norm(M)
-    if nm == 0.0:
-        return 0.0
-    M /= nm
-    est = 0.0
-    prev_delta = np.inf
-    for _ in range(OPNORM_ITERATION_CAP):
-        AM = project_tangent(project_support(M, omega), T)
-        lam_est = float(np.tensordot(M, AM))  # Rayleigh quotient, ||M||_F = 1
-        nam = np.linalg.norm(AM)
-        if nam == 0.0:
-            return 0.0
-        M = AM / nam
-        new_est = math.sqrt(max(lam_est, 0.0))
-        if _power_converged(new_est, est, prev_delta, tol):
-            return min(new_est, 1.0)
-        prev_delta = abs(new_est - est)
-        est = new_est
-    raise ConvergenceError(
-        f"projector-composition power iteration did not reach tol={tol} "
-        f"in {OPNORM_ITERATION_CAP} steps",
-        estimate=float(est),
-    )
+    U, V = T.U, T.V
+
+    def perp(Y):
+        return Y - U @ (U.T @ Y)
+
+    def matvec(z):
+        X, Y = z[: n * r].reshape(n, r), z[n * r :].reshape(n, r)
+        Z = project_support(U @ X.T + perp(Y) @ V.T, omega)
+        return np.concatenate([(Z.T @ U).ravel(), perp(Z @ V).ravel()])
+
+    rng = make_rng(mix_seed(_OPNORM_SEED_TAG, n, r, omega.count))
+    return min(sqrt_top_eigenvalue(matvec, rng.random(2 * n * r) - 0.5, tol), 1.0)
 
 
 def golfing_component(
@@ -183,7 +172,7 @@ def golfing_component(
     trace = [float(np.linalg.norm(residual))]
     inv_q = 1.0 / omega.q
     for batch in omega.partition:
-        Y = Y + inv_q * np.where(batch, residual, 0.0)
+        Y = Y + inv_q * (residual * batch)
         residual = project_tangent(UV - Y, T)
         trace.append(float(np.linalg.norm(residual)))
     return project_tangent_complement(Y, T), trace
@@ -209,7 +198,7 @@ def neumann_component(
     E must be supported on Omega with entries in {-1, 0, +1}. The series
     requires ||P_Omega P_T|| < 1; values within 1e-6 of 1 are refused as
     divergent. ``support_tangent_norm`` may pass a precomputed norm to skip
-    the internal power iteration.
+    the internal Lanczos estimate.
     """
     E = ensure_matrix(E, "E")
     if lam <= 0:

@@ -4,17 +4,20 @@ Everything operates on plain 2-D float64 numpy arrays. All functions are
 pure; none keeps internal state, so concurrent use is safe.
 """
 
-from typing import NamedTuple
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .rng import make_rng, mix_seed
 
-# tag decorrelating power-iteration start vectors from other seeded streams
-_POWER_SEED_TAG = 0x5BEC712A1
+# tag decorrelating spectral-norm Lanczos start vectors from other seeded streams
+_LANCZOS_SEED_TAG = 0x5BEC712A1
 
-DEFAULT_POWER_TOL = 1e-8
-POWER_ITERATION_CAP = 10_000
+DEFAULT_TOL = 1e-8
+LANCZOS_STEP_CAP = 1000
+# beta_k below this many ulps of the spectrum's scale: Krylov space exhausted
+_EXHAUSTED_FACTOR = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -92,17 +95,101 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
     return (U * s_shrunk) @ V.T
 
 
-def spectral_norm(M: np.ndarray, tol: float = DEFAULT_POWER_TOL) -> float:
-    """Largest singular value via power iteration on M^T M.
+def lanczos_top_eigenvalue(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    v0: np.ndarray,
+    tol: float = DEFAULT_TOL,
+) -> float:
+    """Largest eigenvalue of a symmetric operator by Lanczos iteration.
 
-    The start vector is a fixed pseudo-random Gaussian seeded only from the
-    matrix dimensions, so repeated calls on equal inputs return identical
-    estimates. Stops when the estimate changes by less than tol relative.
+    ``matvec`` applies the operator to a 1-D vector of the size of ``v0``,
+    the nonzero start vector. Every new Lanczos vector is reorthogonalized
+    against the whole basis (two Gram-Schmidt passes), so the tridiagonal
+    projection stays faithful and no spurious copies of converged Ritz
+    values appear. Stops when the Ritz residual bound beta_k * |s_k| (s_k
+    the last entry of the top Ritz vector) is at most tol * |theta|, which
+    proves an eigenvalue lies within that distance of the returned Ritz
+    value theta; or, with the exact value, once the Krylov space is
+    exhausted (beta_k ~ 0). Deterministic for fixed inputs.
 
     Raises
     ------
     ConvergenceError
-        If the iteration cap is reached; carries the best estimate.
+        After LANCZOS_STEP_CAP steps; carries the best Ritz value.
+    """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    v0 = np.asarray(v0, dtype=np.float64).ravel()
+    nv = np.linalg.norm(v0)
+    if nv == 0.0:
+        raise ValueError("start vector must be nonzero")
+    dim = v0.size
+    steps = min(dim, LANCZOS_STEP_CAP)
+    # rows: the Lanczos basis, doubled when full so memory follows the steps taken
+    Q = np.empty((32, dim))
+    Q[0] = v0 / nv
+    alphas, betas = [], []
+    theta = 0.0
+    for k in range(steps):
+        w = np.array(matvec(Q[k]), dtype=np.float64).ravel()  # never a view of Q
+        basis = Q[: k + 1]
+        h = basis @ w
+        w -= basis.T @ h
+        w -= basis.T @ (basis @ w)
+        alphas.append(float(h[k]))
+        beta = float(np.linalg.norm(w))
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, vecs = np.linalg.eigh(tri)
+        theta = float(ritz[-1])
+        scale = max(abs(ritz[0]), abs(theta))
+        if (
+            beta * abs(vecs[-1, -1]) <= tol * abs(theta)
+            or beta <= _EXHAUSTED_FACTOR * np.finfo(float).eps * scale
+            or k + 1 == dim
+        ):
+            return theta
+        if k + 1 == Q.shape[0]:
+            Q = np.concatenate([Q, np.empty_like(Q)])
+        Q[k + 1] = w / beta
+        betas.append(beta)
+    raise ConvergenceError(
+        f"Lanczos did not reach tol={tol} in {LANCZOS_STEP_CAP} steps",
+        estimate=theta,
+    )
+
+
+def sqrt_top_eigenvalue(
+    gram_matvec: Callable[[np.ndarray], np.ndarray],
+    v0: np.ndarray,
+    tol: float = DEFAULT_TOL,
+) -> float:
+    """Operator norm ||A|| from the matvec of the Gram operator A^T A.
+
+    The square root of lanczos_top_eigenvalue, clamped at 0 against
+    round-off; a ConvergenceError carries the square root of its estimate.
+    """
+    try:
+        top = lanczos_top_eigenvalue(gram_matvec, v0, tol)
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            str(err), estimate=math.sqrt(max(err.estimate, 0.0))
+        ) from None
+    return math.sqrt(max(top, 0.0))
+
+
+def spectral_norm(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """Largest singular value: Lanczos on x -> M^T (M x), then a square root.
+
+    The start vector is a fixed pseudo-random vector seeded only from the
+    matrix dimensions, so repeated calls on equal inputs return identical
+    values. The Lanczos stop (see lanczos_top_eigenvalue) proves an
+    eigenvalue of M^T M within relative distance tol of the square of the
+    returned value.
+
+    Raises
+    ------
+    ConvergenceError
+        If the step cap is reached; carries the best norm estimate.
     """
     M = ensure_matrix(M)
     if tol <= 0:
@@ -110,48 +197,8 @@ def spectral_norm(M: np.ndarray, tol: float = DEFAULT_POWER_TOL) -> float:
     n, m = M.shape
     if n == 0 or m == 0:
         return 0.0
-    rng = make_rng(mix_seed(_POWER_SEED_TAG, n, m))
-    v = rng.random(m) - 0.5
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # cannot happen with the seeded start, kept for safety
-        v = np.ones(m)
-        nv = np.sqrt(m)
-    v /= nv
-    est = 0.0
-    prev_delta = np.inf
-    for _ in range(POWER_ITERATION_CAP):
-        w = M.T @ (M @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0  # v in the null space and M^T M v = 0: norm-0 slice
-        new_est = np.sqrt(nw)
-        v = w / nw
-        if _power_converged(new_est, est, prev_delta, tol):
-            return float(new_est)
-        prev_delta = abs(new_est - est)
-        est = new_est
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {POWER_ITERATION_CAP} steps",
-        estimate=float(est),
-    )
-
-
-def _power_converged(new_est: float, est: float, prev_delta: float, tol: float) -> bool:
-    """Aitken-style stop for geometric estimate sequences.
-
-    Successive increments of a power-iteration estimate shrink by roughly a
-    constant ratio t, so the remaining error is about delta * t / (1 - t).
-    Estimating t from consecutive increments keeps the reported tolerance an
-    honest bound rather than a per-step change.
-    """
-    delta = abs(new_est - est)
-    floor = tol * max(new_est, np.finfo(float).tiny)
-    if delta == 0.0:
-        return True
-    if not np.isfinite(prev_delta) or prev_delta <= 0.0:
-        return False
-    ratio = min(delta / prev_delta, 0.999)
-    return delta * ratio / (1.0 - ratio) <= floor
+    rng = make_rng(mix_seed(_LANCZOS_SEED_TAG, n, m))
+    return sqrt_top_eigenvalue(lambda v: M.T @ (M @ v), rng.random(m) - 0.5, tol)
 
 
 def norms(M: np.ndarray) -> MatrixNorms:

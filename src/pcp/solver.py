@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import ensure_matrix, soft_threshold, svd, svt
+from .linalg import ConvergenceError, ensure_matrix, soft_threshold, spectral_norm, svd, svt
 
 
 @dataclass
@@ -80,7 +80,10 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
             feasibility_residual=0.0, objective=0.0, converged=True,
         )
 
-    d_spec = float(np.linalg.svd(D, compute_uv=False)[0])
+    try:
+        d_spec = spectral_norm(D)
+    except ConvergenceError as err:  # the schedule needs only the scale of ||D||_2
+        d_spec = err.estimate
     d_inf = float(np.abs(D).max())
     Y = D / max(d_spec, d_inf / lam)
     mu = cfg.mu0 if cfg.mu0 is not None else 1.25 / d_spec

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pcp.linalg
 from pcp.linalg import (
     ConvergenceError,
     ensure_matrix,
+    lanczos_top_eigenvalue,
     norms,
     soft_threshold,
     spectral_norm,
@@ -172,6 +174,83 @@ def test_spectral_norm_degenerate_shapes():
 def test_spectral_norm_near_tie():
     M = np.diag([1.0, 1.0 - 1e-3, 0.5])
     assert abs(spectral_norm(M) - 1.0) <= 1e-6
+
+
+def test_spectral_norm_near_tie_meets_tol():
+    """Top singular values 1 and 1 - 1e-5 behind random orthogonal factors."""
+    rng = np.random.default_rng(11)
+    Q1, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    s = np.concatenate([[1.0, 1.0 - 1e-5], np.linspace(0.9, 0.1, 198)])
+    M = (Q1 * s) @ Q2.T
+    assert abs(spectral_norm(M, tol=1e-8) - 1.0) <= 1e-8
+
+
+def test_spectral_norm_cap_error_carries_norm_estimate(monkeypatch):
+    monkeypatch.setattr(pcp.linalg, "LANCZOS_STEP_CAP", 2)
+    M = _rand(40, 40, 12)
+    with pytest.raises(ConvergenceError) as info:
+        spectral_norm(M)
+    top = svd(M).singular_values[0]
+    assert 0.0 < info.value.estimate <= top * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------- lanczos
+
+def _psd(n, seed):
+    A = _rand(n, n, seed)
+    return A @ A.T
+
+
+def test_lanczos_matches_eigvalsh():
+    for n, seed in ((5, 30), (40, 31), (120, 32)):
+        A = _psd(n, seed)
+        v0 = _rand(n, 1, seed + 100).ravel()
+        got = lanczos_top_eigenvalue(lambda v: A @ v, v0, tol=1e-10)
+        want = np.linalg.eigvalsh(A)[-1]
+        assert abs(got - want) <= 1e-10 * want
+
+
+def test_lanczos_low_rank_operator_exhausts_early():
+    """A rank-3 operator spans a Krylov space of dimension at most 4."""
+    B = _rand(60, 3, 33)
+    A = B @ B.T
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return A @ v
+
+    got = lanczos_top_eigenvalue(matvec, np.ones(60), tol=1e-12)
+    assert abs(got - np.linalg.eigvalsh(A)[-1]) <= 1e-12 * got
+    assert len(calls) <= 4
+
+
+def test_lanczos_zero_operator():
+    assert lanczos_top_eigenvalue(np.zeros_like, np.ones(7)) == 0.0
+
+
+def test_lanczos_repeats_bitwise():
+    A = _psd(80, 34)
+    v0 = _rand(80, 1, 35).ravel()
+    runs = [lanczos_top_eigenvalue(lambda v: A @ v, v0.copy()) for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_lanczos_cap_raises_with_estimate(monkeypatch):
+    monkeypatch.setattr(pcp.linalg, "LANCZOS_STEP_CAP", 3)
+    A = _psd(50, 36)
+    with pytest.raises(ConvergenceError) as info:
+        lanczos_top_eigenvalue(lambda v: A @ v, np.ones(50), tol=1e-12)
+    top = np.linalg.eigvalsh(A)[-1]
+    assert 0.0 < info.value.estimate <= top * (1 + 1e-12)
+
+
+def test_lanczos_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        lanczos_top_eigenvalue(lambda v: v, np.zeros(4))
+    with pytest.raises(ValueError):
+        lanczos_top_eigenvalue(lambda v: v, np.ones(4), tol=0.0)
 
 
 def test_convergence_error_carries_estimate():

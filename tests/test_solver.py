@@ -30,6 +30,17 @@ def test_feasibility_at_convergence():
     assert abs(gap - res.feasibility_residual) <= 1e-12
 
 
+def test_norm_estimate_cap_does_not_stop_the_solve(monkeypatch):
+    """||D||_2 only scales the schedule: a capped estimate still solves."""
+    import pcp.linalg
+
+    inst = make_instance(40, 1, 0.1, 3)
+    monkeypatch.setattr(pcp.linalg, "LANCZOS_STEP_CAP", 2)
+    res = pcp_solve(inst.D, lambda_classic(40))
+    assert res.converged
+    assert recovery_success(inst.L0, res.L_hat)
+
+
 def test_objective_below_trivial_points():
     inst = make_instance(30, 2, 0.3, 4)
     lam = lambda_classic(30)
