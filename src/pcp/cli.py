@@ -20,6 +20,7 @@ from .certificate import certify_instance, default_j0
 from .harness import (
     SweepConfig,
     SweepResult,
+    _rho_index,
     emit_csv,
     emit_heatmap,
     resume_sweep,
@@ -118,7 +119,7 @@ def _cmd_sweep(args) -> int:
     except (KeyboardInterrupt, OSError) as exc:
         # flush whatever completed, then signal the partial run
         partial = SweepResult(config=cfg, records=sorted(
-            collector, key=lambda rec: (rec.n, rec.rho, rec.trial)
+            collector, key=lambda rec: (rec.n, _rho_index(cfg, rec.rho), rec.trial)
         ))
         if args.out_csv:
             emit_csv(partial, args.out_csv)

@@ -5,14 +5,24 @@ pure; none keeps internal state, so concurrent use is safe.
 """
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .rng import make_rng, mix_seed
+from .rng import make_rng, mix_seed, normal_matrix
 
 # tag decorrelating spectral-norm Lanczos start vectors from other seeded streams
 _LANCZOS_SEED_TAG = 0x5BEC712A1
+# tag decorrelating partial-SVT sketch start blocks from other seeded streams
+_SVT_SEED_TAG = 0x5B7B10C4
+
+# partial SVT: sketch columns beyond the rank guess, and the residual of the
+# kept triplets, relative to max(top value, tau), that accepts the sketch
+_SVT_OVERSAMPLE = 8
+_SVT_RESIDUAL_TOL = 1e-12
+# probes bounding the discarded part: the bound fails with probability 10^-8
+_SVT_PROBES = 8
+_SVT_PROBE_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
 
 DEFAULT_TOL = 1e-8
 LANCZOS_STEP_CAP = 1000
@@ -82,17 +92,110 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
 
 
-def svt(M: np.ndarray, tau: float) -> np.ndarray:
-    """Singular value thresholding: prox of tau * ||.||_*.
+def svt(M: np.ndarray, tau: float, rank_guess: Optional[int] = None) -> SvdResult:
+    """Singular value thresholding: prox of tau * ||.||_*, as its kept triplets.
 
-    Shrinks every singular value by tau, clamping at zero; values exactly
-    equal to tau map to exactly zero.
+    Returns the singular triplets of M whose values exceed tau, each value
+    shrunk by tau: ``.reconstruct()`` is the prox and ``.singular_values.sum()``
+    its nuclear norm. Values at or below tau (exactly equal included) are
+    dropped, i.e. map to exactly zero.
+
+    Without ``rank_guess`` the triplets come from a full SVD. A rank guess
+    k >= 1 (how many values are expected above tau) allows a partial path
+    that computes only the top of the spectrum (Halko, Martinsson & Tropp,
+    arXiv 0909.4061): a Gaussian start block of l = k + 8 columns, seeded
+    from the shape and l so results are deterministic, gives Q = qr(M Omega);
+    each power step replaces Q by qr(M M^T Q), and a Rayleigh-Ritz SVD of
+    Q^T M follows the start and every step. The sketch is accepted when
+
+    (a) at least one of the l Ritz values is at most tau, so the first value
+        discarded is;
+    (b) the kept triplets are singular triplets of M to working precision,
+        ||M V_r - U_r S_r||_F <= 1e-12 * max(s_1, tau) (U_r^T M = S_r V_r^T
+        holds by construction); and
+    (c) eight further seeded Gaussian probes bound the spectral norm of the
+        rest, M - U_r S_r V_r^T, by tau (see _rest_at_most; the bound is
+        wrong with probability at most 1e-8).
+
+    (a) and (b) alone can accept a sketch that missed values above tau: a
+    sketch of l columns cannot see a few values just above tau among many
+    just below it, and its Ritz values, which never exceed the singular
+    values they approximate, all fall below tau. (c) catches that case.
+
+    The full SVD runs instead when (a)-(c) do not hold after
+    min(16, n // (2l)) power steps, and at once when all l Ritz values
+    exceed tau (then at least l values do). The partial path is tried only
+    when tau > 0 and l <= n / 10, n the smaller dimension.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
+    M = ensure_matrix(M)
+    if rank_guess is not None:
+        if rank_guess < 1:
+            raise ValueError(f"rank_guess must be >= 1, got {rank_guess}")
+        top = _top_triplets(M, tau, rank_guess + _SVT_OVERSAMPLE)
+        if top is not None:
+            return top
     U, s, V = svd(M)
-    s_shrunk = np.maximum(s - tau, 0.0)
-    return (U * s_shrunk) @ V.T
+    r = int(np.count_nonzero(s > tau))
+    # copies, so the full factors are not kept alive by the result
+    return SvdResult(U=U[:, :r].copy(), singular_values=s[:r] - tau, V=V[:, :r].copy())
+
+
+def _top_triplets(M: np.ndarray, tau: float, width: int) -> Optional[SvdResult]:
+    """The partial path of svt: the kept shrunk triplets, or None to fall back."""
+    rows, cols = M.shape
+    n = min(rows, cols)
+    if tau <= 0 or 10 * width > n:
+        return None
+    rng = make_rng(mix_seed(_SVT_SEED_TAG, rows, cols, width))
+    omega = normal_matrix(rng, cols, width, 1.0)
+    probes = normal_matrix(rng, cols, _SVT_PROBES, 1.0)
+    power_cap = min(16, n // (2 * width))
+    Q = np.linalg.qr(M @ omega)[0]
+    for _ in range(power_cap + 1):
+        Ub, s, Vt = np.linalg.svd(Q.T @ M, full_matrices=False)
+        if s[-1] > tau:
+            return None
+        r = int(np.count_nonzero(s > tau))
+        MV = M @ Vt.T
+        U, V = Q @ Ub[:, :r], Vt[:r].T
+        if np.linalg.norm(MV[:, :r] - U * s[:r]) <= _SVT_RESIDUAL_TOL * max(s[0], tau):
+            if _rest_at_most(M, U, s[:r], V, tau, probes, power_cap):
+                return SvdResult(U=U, singular_values=s[:r] - tau, V=V)
+            return None
+        Q = np.linalg.qr(MV)[0]  # spans M M^T Q: M V spans M B^T with B = Q^T M
+    return None
+
+
+def _rest_at_most(M, U, s, V, tau, probes, steps) -> bool:
+    """Whether ||R||_2 <= tau for R = M - U diag(s) V^T, up to probability 1e-8.
+
+    For Gaussian probes w_1..w_p and B = (R R^T)^q R, ||B|| <= 10 sqrt(2/pi)
+    max_i ||B w_i|| except with probability 10^-p (Halko, Martinsson & Tropp,
+    Lemma 4.1), and ||B|| = ||R||^(2q+1); q grows until the bound certifies
+    ||R|| <= tau, or gives up after ``steps``. A probe that R or R^T
+    stretches by more than tau proves ||R|| > tau and stops at once.
+    """
+    def rest(X):
+        return (M @ X - U @ (s[:, None] * (V.T @ X))) / tau
+
+    def rest_t(X):
+        return (M.T @ X - V @ (s[:, None] * (U.T @ X))) / tau
+
+    Y = rest(probes)
+    y_norms = np.linalg.norm(Y, axis=0)
+    for _ in range(steps):
+        if _SVT_PROBE_FACTOR * y_norms.max() <= 1.0:
+            return True
+        Z = rest_t(Y)
+        z_norms = np.linalg.norm(Z, axis=0)
+        Y = rest(Z)
+        new_norms = np.linalg.norm(Y, axis=0)
+        if (z_norms > y_norms).any() or (new_norms > z_norms).any():
+            return False
+        y_norms = new_norms
+    return bool(_SVT_PROBE_FACTOR * y_norms.max() <= 1.0)
 
 
 def lanczos_top_eigenvalue(

@@ -13,6 +13,17 @@ grows the penalty:
 
 with Y0 = D / max(||D||_2, ||D||_inf / lambda) and mu0 = 1.25/||D||_2,
 stopping on the relative feasibility residual ||D - L - S||_F / ||D||_F.
+
+The L step predicts its rank from the previous iterate, as in the inexact
+ALM of Lin, Chen & Ma (arXiv 1009.5055): ``svt`` is given the guess
+k = rank(L) + 1 (k = 1 on the first iteration) and computes only the top
+singular triplets, with a sketch of k + 8 columns, when that is at most a
+tenth of n. The sketch is accepted only when it passes the exactness gate
+of ``linalg.svt``: its first discarded value is at most 1/mu, the kept
+triplets are exact to working precision, and seeded probes bound the rest
+of the spectrum by 1/mu. Otherwise that iteration uses the full SVD. The
+reported objective is the sum of the last L step's shrunk singular values,
+which is ||L||_*, plus lambda * ||S||_1.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +41,6 @@ class SolverConfig:
     mu0: Optional[float] = None       # None: 1.25 / ||D||_2
     rho_mu: float = 1.5
     mu_max_factor: float = 1e7        # mu_max = factor * mu0
-    svd_rank_hint: Optional[int] = None  # reserved; full SVD is always used
 
     def __post_init__(self):
         if self.tol_feasibility <= 0:
@@ -60,9 +70,9 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
     lam : positive weight on the sparse term
     cfg : schedule constants; defaults are sized for desk-scale matrices
 
-    Returns the final iterate with converged=False when the feasibility
-    tolerance was not met within cfg.max_iters; the best iterate and its
-    residual are still reported.
+    Returns the final iterate, with converged=False when the feasibility
+    tolerance was not met within cfg.max_iters; its residual and objective
+    are reported either way.
     """
     D = ensure_matrix(D, "D")
     if D.shape[0] != D.shape[1]:
@@ -89,13 +99,15 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
     mu = cfg.mu0 if cfg.mu0 is not None else 1.25 / d_spec
     mu_max = cfg.mu_max_factor * mu
 
-    L = np.zeros_like(D)
     S = np.zeros_like(D)
+    rank = 0
     residual = 1.0
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        L = svt(D - S + Y / mu, 1.0 / mu)
+        shrunk = svt(D - S + Y / mu, 1.0 / mu, rank_guess=rank + 1)
+        rank = shrunk.singular_values.size
+        L = shrunk.reconstruct()
         S = soft_threshold(D - L + Y / mu, lam / mu)
         gap = D - L - S
         Y = Y + mu * gap
@@ -105,9 +117,7 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
             converged = True
             break
 
-    objective = float(
-        np.linalg.svd(L, compute_uv=False).sum() + lam * np.abs(S).sum()
-    )
+    objective = float(shrunk.singular_values.sum() + lam * np.abs(S).sum())
     return SolveResult(
         L_hat=L, S_hat=S, iterations=iterations,
         feasibility_residual=residual, objective=objective, converged=converged,

@@ -82,7 +82,7 @@ def test_c01_prox_exactness():
             np.abs(soft_threshold(M, tau) - scalar_soft_threshold(M, tau)).max(),
         )
         s_in = svd(M).singular_values
-        s_out = svd(svt(M, tau)).singular_values
+        s_out = svd(svt(M, tau).reconstruct()).singular_values
         worst_svt = max(
             worst_svt, np.abs(s_out - np.maximum(s_in - tau, 0.0)).max()
         )

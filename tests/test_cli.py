@@ -204,3 +204,26 @@ def test_sweep_interrupt_flushes_partial_and_exits_2(tmp_path):
     text = csv.read_text().splitlines()
     assert text[0].startswith("n,rho,")
     assert (tmp_path / "partial.csv.json").exists()
+
+
+def test_sweep_interrupt_flush_keeps_grid_order(tmp_path, monkeypatch):
+    """Partial CSV rows follow the rho grid's order, as a full run's do."""
+    import pcp.cli
+    from pcp.harness import SweepRecord
+
+    cfg_path = sweep_config_file(tmp_path, n_list=[20], rho_grid=[0.3, 0.1])
+
+    def interrupted(cfg, jobs=None, collector=None):
+        for rho, trial in ((0.1, 0), (0.3, 1), (0.3, 0)):  # completion order
+            collector.append(SweepRecord(
+                n=20, rho=rho, r=1, C1=0.8, lam=0.2, trial=trial, seed=trial,
+                rel_err_L=0.0, success=True, iterations=1, converged=True,
+                runtime_ms=0.0,
+            ))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pcp.cli, "run_sweep", interrupted)
+    csv = tmp_path / "partial.csv"
+    assert pcp.cli.main(["sweep", "--config", str(cfg_path), "--out-csv", str(csv)]) == 2
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [(float(row[1]), int(row[5])) for row in rows] == [(0.3, 0), (0.3, 1), (0.1, 0)]

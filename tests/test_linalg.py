@@ -119,28 +119,123 @@ def test_prox_characterization_by_search_oracle():
 
 def test_svt_diagonal():
     np.testing.assert_allclose(
-        svt(np.diag([3.0, 1.0]), 2.0), np.diag([1.0, 0.0]), atol=1e-12
+        svt(np.diag([3.0, 1.0]), 2.0).reconstruct(), np.diag([1.0, 0.0]), atol=1e-12
     )
 
 
 def test_svt_tau_zero_is_identity():
     M = _rand(8, 8, 5)
-    np.testing.assert_allclose(svt(M, 0.0), M, atol=1e-10 * np.linalg.norm(M))
+    np.testing.assert_allclose(svt(M, 0.0).reconstruct(), M, atol=1e-10 * np.linalg.norm(M))
 
 
 def test_svt_spectrum_property():
     M = _rand(15, 15, 6)
     s_in = svd(M).singular_values
-    s_out = svd(svt(M, 0.5)).singular_values
+    s_out = svd(svt(M, 0.5).reconstruct()).singular_values
     np.testing.assert_allclose(s_out, np.maximum(s_in - 0.5, 0.0), atol=1e-9)
 
 
 def test_svt_exact_threshold_goes_to_zero():
     M = np.diag([2.0, 1.0])
-    out = svt(M, 1.0)
+    out = svt(M, 1.0).reconstruct()
     s = svd(out).singular_values
     assert s[1] == 0.0
     np.testing.assert_allclose(s[0], 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------- partial svt
+
+def _planted(values, n, seed):
+    """n x n matrix with the given leading singular values and zeros after."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = np.zeros(n)
+    s[: len(values)] = values
+    return (U * s) @ V.T
+
+
+def _count_full_svds(monkeypatch):
+    calls = []
+    original = pcp.linalg.svd
+
+    def counting(M):
+        calls.append(M.shape)
+        return original(M)
+
+    monkeypatch.setattr(pcp.linalg, "svd", counting)
+    return calls
+
+
+def _assert_matches_full_svt(got, M, tau):
+    """Kept values and prox within 1e-9 relative of a direct full SVD."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    kept = s[s > tau] - tau
+    want = (U[:, : kept.size] * kept) @ Vt[: kept.size]
+    assert got.singular_values.size == kept.size
+    np.testing.assert_allclose(got.singular_values, kept, rtol=1e-9, atol=1e-9 * s[0])
+    assert np.linalg.norm(got.reconstruct() - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_partial_svt_low_rank_plus_noise_bulk(monkeypatch):
+    """Noise bulk far below tau: the sketch is accepted, no full SVD runs."""
+    n = 200
+    M = _planted([10.0, 7.0, 4.0], n, 20)
+    M += 0.05 * np.random.default_rng(21).standard_normal((n, n)) / np.sqrt(n)
+    calls = _count_full_svds(monkeypatch)
+    got = svt(M, 1.0, rank_guess=3)
+    assert calls == []
+    _assert_matches_full_svt(got, M, 1.0)
+
+
+def test_partial_svt_rank_above_sketch_falls_back(monkeypatch):
+    n = 200
+    M = _planted(np.linspace(5.0, 2.0, 30), n, 22)
+    calls = _count_full_svds(monkeypatch)
+    got = svt(M, 1.0, rank_guess=1)  # a sketch of 9 columns, 30 values above tau
+    assert calls == [(n, n)]
+    _assert_matches_full_svt(got, M, 1.0)
+
+
+@pytest.mark.parametrize("n, tau", [(200, 0.0), (50, 1.0)])
+def test_partial_svt_zero_tau_or_small_n_takes_full_path(monkeypatch, n, tau):
+    M = _planted([3.0, 2.0], n, 23)
+    calls = _count_full_svds(monkeypatch)
+    got = svt(M, tau, rank_guess=1)  # 9 columns: more than a tenth of n = 50
+    assert calls == [(n, n)]
+    _assert_matches_full_svt(got, M, tau)
+
+
+@pytest.mark.parametrize("above, below", [(3, 50), (15, 15)])
+def test_partial_svt_cluster_at_tau_falls_back(monkeypatch, above, below):
+    """Values 0.1% above and below tau: the sketch cannot tell them apart.
+
+    With (3, 50), the sketch's Ritz values all land below tau and its top
+    triplet converges, so only the probe bound on the discarded part keeps
+    the partial path from dropping the three values above tau.
+    """
+    n = 200
+    values = np.concatenate([[5.0], np.full(above, 1.001), np.full(below, 0.999)])
+    M = _planted(values, n, 24)
+    calls = _count_full_svds(monkeypatch)
+    got = svt(M, 1.0, rank_guess=2)
+    assert calls == [(n, n)]
+    _assert_matches_full_svt(got, M, 1.0)
+
+
+def test_partial_svt_repeats_bitwise(monkeypatch):
+    n = 200
+    M = _planted([6.0, 3.0], n, 25) + 1e-3 * _rand(n, n, 26)
+    calls = _count_full_svds(monkeypatch)
+    a, b = svt(M, 0.5, rank_guess=2), svt(M.copy(), 0.5, rank_guess=2)
+    assert calls == []
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_svt_rejects_bad_rank_guess():
+    with pytest.raises(ValueError):
+        svt(np.eye(3), 0.5, rank_guess=0)
 
 
 # -------------------------------------------------------- spectral_norm
@@ -300,10 +395,10 @@ def test_operations_are_thread_safe():
     from concurrent.futures import ThreadPoolExecutor
 
     M = _rand(25, 25, 99)
-    expected_svt = svt(M, 0.3)
+    expected_svt = svt(M, 0.3).reconstruct()
     expected_norm = spectral_norm(M)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        svts = list(pool.map(lambda _: svt(M, 0.3), range(8)))
+        svts = list(pool.map(lambda _: svt(M, 0.3).reconstruct(), range(8)))
         specs = list(pool.map(lambda _: spectral_norm(M), range(8)))
     for out in svts:
         np.testing.assert_array_equal(out, expected_svt)

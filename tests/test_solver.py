@@ -51,6 +51,23 @@ def test_objective_below_trivial_points():
     assert res.objective <= obj_all_S + 1e-9
 
 
+def test_objective_is_recomputed_nuclear_norm_plus_l1(monkeypatch):
+    """The objective comes from the last svt's shrunk values, not a new SVD,
+    and the rank guesses let most L steps skip the full SVD."""
+    import pcp.linalg
+
+    full_svds = []
+    original = pcp.linalg.svd
+    monkeypatch.setattr(pcp.linalg, "svd", lambda M: full_svds.append(1) or original(M))
+    inst = make_instance(200, 2, 0.1, 9)
+    lam = lambda_classic(200)
+    res = pcp_solve(inst.D, lam)
+    assert res.converged
+    assert len(full_svds) < res.iterations / 2
+    recomputed = norms(res.L_hat).nuclear + lam * np.abs(res.S_hat).sum()
+    assert abs(res.objective - recomputed) <= 1e-9 * recomputed
+
+
 def test_single_corruption_objective_matches_oracle():
     # rank-1 ground truth with one corrupted entry, solved nearly exactly
     rng = np.random.default_rng(8)
