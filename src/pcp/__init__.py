@@ -23,6 +23,7 @@ from .problems import (
     incoherence_mu,
     lambda_classic,
     lambda_dense,
+    lambda_from_spec,
     make_instance,
     random_signs_on,
     rank_bound_ok,
@@ -57,6 +58,7 @@ from .harness import (
     emit_csv,
     emit_heatmap,
     load_csv,
+    load_done,
     resume_sweep,
     run_sweep,
     write_sidecar,

@@ -149,20 +149,13 @@ def opnorm_support_tangent(
     return min(sqrt_top_eigenvalue(matvec, rng.random(2 * n * r) - 0.5, tol), 1.0)
 
 
-def golfing_component(
-    omega: SupportSet,
-    T: TangentSubspace,
-    lam: Optional[float] = None,
-) -> tuple:
+def golfing_component(omega: SupportSet, T: TangentSubspace) -> tuple:
     """Golfing construction of the tangent-handling certificate part.
 
     Runs Y_j = Y_{j-1} + (1/q) P_{Omega_j} P_T(U V^T - Y_{j-1}) over the
     support-complement batches attached to ``omega`` and returns
     (P_Tperp Y_j0, trace), where trace[j] = ||P_T(U V^T - Y_j)||_F for
     j = 0..j0. The trace exposes the per-step residual decay.
-
-    ``lam`` is accepted for call symmetry with the other certificate
-    constructors; the recursion itself does not depend on it.
     """
     if omega.partition is None or omega.q is None:
         raise ValueError("omega must carry a golfing partition (see sample_golfing_partition)")

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -20,36 +21,16 @@ from .certificate import certify_instance, default_j0
 from .harness import (
     SweepConfig,
     SweepResult,
-    _rho_index,
     emit_csv,
     emit_heatmap,
-    resume_sweep,
+    load_done,
     run_sweep,
     write_sidecar,
 )
-from .problems import lambda_classic, lambda_dense, make_instance
+from .problems import lambda_from_spec, make_instance
 from .solver import SolverConfig, pcp_solve
 
-
-def parse_lambda_spec(spec: str, n: int) -> float:
-    """Weighting parameter from 'classic', 'dense:rho,C1', or a literal."""
-    if spec == "classic":
-        return lambda_classic(n)
-    if spec.startswith("dense:"):
-        try:
-            rho_str, c1_str = spec[len("dense:"):].split(",")
-            return lambda_dense(n, float(rho_str), float(c1_str))
-        except ValueError as exc:
-            raise ValueError(
-                f"bad lambda spec {spec!r}; expected dense:<rho>,<C1>"
-            ) from exc
-    try:
-        value = float(spec)
-    except ValueError as exc:
-        raise ValueError(f"bad lambda spec {spec!r}") from exc
-    if value <= 0:
-        raise ValueError(f"lambda must be positive, got {value}")
-    return value
+LAMBDA_HELP = "classic | dense:<rho>,<C1> | fixed:<v> | <v>"
 
 
 def _cmd_gen(args) -> int:
@@ -69,7 +50,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     D = pcpm.load_matrix(args.d)
-    lam = parse_lambda_spec(getattr(args, "lambda"), D.shape[0])
+    lam = lambda_from_spec(getattr(args, "lambda"), D.shape[0])
     cfg = SolverConfig(tol_feasibility=args.tol, max_iters=args.max_iters)
     result = pcp_solve(D, lam, cfg)
     if args.out_l:
@@ -93,7 +74,7 @@ def _cmd_certify(args) -> int:
     L0 = pcpm.load_matrix(args.l0)
     S0 = pcpm.load_matrix(args.s0)
     n = L0.shape[0]
-    lam = parse_lambda_spec(getattr(args, "lambda"), n)
+    lam = lambda_from_spec(getattr(args, "lambda"), n)
     j0 = default_j0(n) if args.j0 == "auto" else int(args.j0)
     report, _ = certify_instance(L0, S0, lam, j0=j0, seed=args.seed)
     payload = report.to_dict()
@@ -104,35 +85,29 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    cfg = SweepConfig.from_dict(raw)
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        jobs = int(os.environ.get("PCP_JOBS", cfg.parallelism))
+    # everything that can reject the input runs before the first cell
+    cfg = SweepConfig.from_dict(json.loads(Path(args.config).read_text()))
+    jobs = args.jobs if args.jobs is not None else int(os.environ.get("PCP_JOBS", "1"))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    done = load_done(cfg, args.resume) if args.resume else {}
     collector = []
     try:
-        if args.resume:
-            result = resume_sweep(cfg, args.resume, jobs=jobs, collector=collector)
-        else:
-            result = run_sweep(cfg, jobs=jobs, collector=collector)
-    except (KeyboardInterrupt, OSError) as exc:
-        # flush whatever completed, then signal the partial run
-        partial = SweepResult(config=cfg, records=sorted(
-            collector, key=lambda rec: (rec.n, _rho_index(cfg, rec.rho), rec.trial)
-        ))
-        if args.out_csv:
-            emit_csv(partial, args.out_csv)
-            write_sidecar(partial, args.out_csv)
-        print(f"sweep interrupted ({exc}); partial results flushed", file=sys.stderr)
+        result = run_sweep(cfg, jobs=jobs, done=done, collector=collector)
+    except (Exception, KeyboardInterrupt) as exc:
+        if not isinstance(exc, KeyboardInterrupt):
+            traceback.print_exc()
+        partial = SweepResult(config=cfg, records=collector)
+        emit_csv(partial, args.out_csv)
+        write_sidecar(partial, args.out_csv)
+        print(f"sweep stopped ({exc!r}); {len(partial.records)} finished rows "
+              f"flushed to {args.out_csv}", file=sys.stderr)
         return 2
-    if args.out_csv:
-        emit_csv(result, args.out_csv)
-        write_sidecar(result, args.out_csv)
+    emit_csv(result, args.out_csv)
+    write_sidecar(result, args.out_csv)
     if args.out_pgm:
         emit_heatmap(result, args.out_pgm)
-    total = len(result.records)
-    print(f"sweep complete: {total} records")
+    print(f"sweep complete: {len(result.records)} records")
     return 0
 
 
@@ -153,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the pursuit solver")
     solve.add_argument("--d", required=True)
-    solve.add_argument("--lambda", required=True,
-                       help="<value> | dense:<rho>,<C1> | classic")
+    solve.add_argument("--lambda", required=True, help=LAMBDA_HELP)
     solve.add_argument("--tol", type=float, default=1e-7)
     solve.add_argument("--max-iters", type=int, default=1000)
     solve.add_argument("--out-l")
@@ -165,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="build and verify a dual certificate")
     certify.add_argument("--l0", required=True)
     certify.add_argument("--s0", required=True)
-    certify.add_argument("--lambda", required=True,
-                         help="<value> | dense:<rho>,<C1> | classic")
+    certify.add_argument("--lambda", required=True, help=LAMBDA_HELP)
     certify.add_argument("--j0", default="auto",
                          help="golfing batch count, integer or 'auto'")
     certify.add_argument("--seed", type=int, default=0)
@@ -175,11 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a phase-transition sweep")
     sweep.add_argument("--config", required=True, help="JSON sweep configuration")
-    sweep.add_argument("--out-csv")
+    sweep.add_argument("--out-csv", required=True)
     sweep.add_argument("--out-pgm")
     sweep.add_argument("--resume", help="existing CSV to complete")
     sweep.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers (default: PCP_JOBS or config)")
+                       help="parallel workers (default: PCP_JOBS, else 1)")
     sweep.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -12,15 +12,16 @@ and interrupted sweeps can be resumed bit-compatibly.
 import hashlib
 import json
 import math
+import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
-from .problems import lambda_classic, lambda_dense, make_instance
+from .problems import SupportModel, lambda_from_spec, make_instance
 from .rng import mix_seed
 from .solver import SolverConfig, SolveResult, pcp_solve
 
@@ -29,43 +30,56 @@ CSV_HEADER = "n,rho,r,C1,lambda,trial,seed,rel_err_L,success,iterations,converge
 
 @dataclass
 class SweepConfig:
+    """A sweep grid and how each of its cells is solved and scored.
+
+    Construction validates everything a cell would otherwise find later, so
+    a config that builds runs every cell of its grid.
+    """
+
     n_list: list
     rho_grid: list
     r: int = 1
     C1: float = 0.8
-    lambda_mode: str = "dense"       # "dense" | "classic" | "fixed:<value>"
+    lambda_mode: str = "dense"       # any spelling of problems.lambda_from_spec
     trials: int = 10
     base_seed: int = 0
     support_model: str = "exact"
     solver: SolverConfig = field(default_factory=SolverConfig)
     success_threshold: float = 0.01
-    parallelism: int = 1
     record_runtime: bool = False     # wall time is not reproducible; opt-in
 
     def __post_init__(self):
-        if not self.n_list:
-            raise ValueError("n_list must be nonempty")
-        if not self.rho_grid:
-            raise ValueError("rho_grid must be nonempty")
-        for rho in self.rho_grid:
-            if not 0.0 < rho < 1.0:
-                raise ValueError(f"rho grid values must lie in (0, 1), got {rho}")
+        for name in ("n_list", "rho_grid"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"{name} must be a nonempty list, got {values!r}")
+        for n in self.n_list:
+            _check_int("n_list entries", n)
+        for name in ("r", "trials", "base_seed"):
+            _check_int(name, getattr(self, name))
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ValueError(f"n_list repeats a dimension: {self.n_list}")
+        if not 1 <= self.r <= min(self.n_list):
+            raise ValueError(f"r must satisfy 1 <= r <= min(n_list) = {min(self.n_list)}, "
+                             f"got {self.r}")
+        for i, rho in enumerate(self.rho_grid):
+            if not (_is_real(rho) and 0.0 < rho < 1.0):
+                raise ValueError(f"rho grid values must lie in (0, 1), got {rho!r}")
+            if _rho_index(self, rho) != i:
+                raise ValueError(f"rho_grid repeats a density: {self.rho_grid}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        self.resolve_lambda(self.n_list[0], self.rho_grid[0])  # validate mode
-
-    def resolve_lambda(self, n: int, rho: float) -> float:
-        mode = self.lambda_mode
-        if mode == "dense":
-            return lambda_dense(n, rho, self.C1)
-        if mode == "classic":
-            return lambda_classic(n)
-        if mode.startswith("fixed:"):
-            value = float(mode.split(":", 1)[1])
-            if value <= 0:
-                raise ValueError(f"fixed lambda must be positive, got {value}")
-            return value
-        raise ValueError(f"unknown lambda_mode {mode!r}")
+        if self.support_model not in get_args(SupportModel):
+            raise ValueError(f"unknown support model {self.support_model!r}")
+        for name in ("C1", "success_threshold"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.record_runtime, bool):
+            raise ValueError(f"record_runtime must be true or false, got {self.record_runtime!r}")
+        for n in self.n_list:
+            for rho in self.rho_grid:
+                lambda_from_spec(self.lambda_mode, n, rho, self.C1)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -73,11 +87,37 @@ class SweepConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SweepConfig":
-        d = dict(d)
+    def from_dict(cls, d) -> "SweepConfig":
+        """Config from parsed JSON; a non-object or an unknown key is rejected."""
+        d = dict(_known_keys(d, cls, "sweep config"))
         solver = d.pop("solver", None)
-        cfg_solver = SolverConfig(**solver) if solver else SolverConfig()
-        return cls(solver=cfg_solver, **d)
+        solver = _known_keys({} if solver is None else solver, SolverConfig, "solver")
+        return cls(solver=SolverConfig(**solver), **d)
+
+
+def _known_keys(d, cls, where: str) -> dict:
+    """d, checked to be a dict that names only fields of cls and every field
+    of cls that has no default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(d) - names)
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{where} lacks required key(s): {', '.join(missing)}")
+    return d
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_int(name: str, x) -> None:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 @dataclass
@@ -98,8 +138,17 @@ class SweepRecord:
 
 @dataclass
 class SweepResult:
+    """Records of a sweep, kept in grid order: by n, then rho_grid index,
+    then trial, whatever order they were made in."""
+
     config: SweepConfig
     records: list
+
+    def __post_init__(self):
+        self.records = sorted(
+            self.records,
+            key=lambda rec: (rec.n, _rho_index(self.config, rec.rho), rec.trial),
+        )
 
     def success_fraction(self, n: int, rho: float) -> float:
         hits = [
@@ -117,10 +166,8 @@ def cell_seed(base_seed: int, n: int, rho_idx: int, trial: int) -> int:
 
 
 def config_hash(cfg: SweepConfig) -> str:
-    """Hash of every result-affecting config field (parallelism excluded)."""
-    d = cfg.to_dict()
-    d.pop("parallelism", None)
-    canon = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    """Hash of every config field; each one affects the results."""
+    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -132,7 +179,7 @@ def _run_cell(args) -> SweepRecord:
     cfg, n, rho_idx, trial = args
     rho = cfg.rho_grid[rho_idx]
     seed = cell_seed(cfg.base_seed, n, rho_idx, trial)
-    lam = cfg.resolve_lambda(n, rho)
+    lam = lambda_from_spec(cfg.lambda_mode, n, rho, cfg.C1)
     started = time.perf_counter()
     inst = make_instance(n, cfg.r, rho, seed, cfg.support_model)
     try:
@@ -165,18 +212,18 @@ def _all_cells(cfg: SweepConfig) -> list:
 
 def run_sweep(
     cfg: SweepConfig,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     done: Optional[dict] = None,
     collector: Optional[list] = None,
 ) -> SweepResult:
     """Execute (or complete) a sweep and return all records in grid order.
 
-    jobs overrides cfg.parallelism. ``done`` maps (n, rho_idx, trial) to
-    already-computed records (used by resume). ``collector``, when given,
-    receives records as they complete so callers can flush partial output
-    if the run is interrupted.
+    ``jobs`` worker processes run the cells. ``done`` maps
+    (n, rho_idx, trial) to already-computed records (see load_done).
+    ``collector``, when given, receives those records and then each new one
+    as it completes, so a caller can flush the finished cells if the run
+    stops on an exception.
     """
-    jobs = cfg.parallelism if jobs is None else jobs
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     done = done or {}
@@ -190,21 +237,25 @@ def run_sweep(
             collector.append(_run_cell(task))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for record in pool.map(_run_cell, tasks, chunksize=1):
-                collector.append(record)
-
-    records = sorted(
-        collector,
-        key=lambda rec: (rec.n, _rho_index(cfg, rec.rho), rec.trial),
-    )
-    return SweepResult(config=cfg, records=records)
+            waiting = {pool.submit(_run_cell, task) for task in tasks}
+            try:
+                for future in as_completed(list(waiting)):
+                    waiting.remove(future)
+                    collector.append(future.result())
+            except BaseException:
+                # start no further cell; keep those that finish while shutting down
+                pool.shutdown(cancel_futures=True)
+                collector.extend(f.result() for f in waiting
+                                 if not f.cancelled() and f.exception() is None)
+                raise
+    return SweepResult(config=cfg, records=collector)
 
 
 def _rho_index(cfg: SweepConfig, rho: float) -> int:
     for i, value in enumerate(cfg.rho_grid):
         if _close(value, rho):
             return i
-    raise KeyError(f"rho={rho} is not on the configured grid")
+    raise ValueError(f"rho={rho} is not on the configured grid")
 
 
 def _fmt(x: float) -> str:
@@ -255,32 +306,41 @@ def load_csv(path) -> list:
     return records
 
 
-def resume_sweep(
-    cfg: SweepConfig,
-    existing_csv,
-    jobs: Optional[int] = None,
-    collector: Optional[list] = None,
-) -> SweepResult:
-    """Complete the missing cells of an interrupted sweep.
+def load_done(cfg: SweepConfig, existing_csv) -> dict:
+    """Finished records of an earlier run of cfg, keyed by (n, rho_idx, trial).
 
     The existing CSV must have been produced by an identical configuration,
-    verified against the config hash in the sidecar JSON next to it. The
-    merged result is identical to an uninterrupted run.
+    verified against the config hash in the sidecar JSON next to it, and
+    hold each cell of the grid at most once.
     """
     sidecar_path = Path(str(existing_csv) + ".json")
     if not sidecar_path.exists():
         raise ValueError(f"missing sidecar {sidecar_path}; cannot verify config")
     sidecar = json.loads(sidecar_path.read_text())
+    found = sidecar.get("config_hash") if isinstance(sidecar, dict) else None
     expected = config_hash(cfg)
-    if sidecar.get("config_hash") != expected:
+    if found != expected:
         raise ValueError(
             "config mismatch: existing CSV was produced by a different "
-            f"configuration (hash {sidecar.get('config_hash')!r} != {expected!r})"
+            f"configuration (hash {found!r} != {expected!r})"
         )
+    cells = set(_all_cells(cfg))
     done = {}
     for rec in load_csv(existing_csv):
-        done[(rec.n, _rho_index(cfg, rec.rho), rec.trial)] = rec
-    return run_sweep(cfg, jobs=jobs, done=done, collector=collector)
+        key = (rec.n, _rho_index(cfg, rec.rho), rec.trial)
+        if key not in cells or key in done:
+            raise ValueError(f"{existing_csv}: row for n={rec.n}, rho={rec.rho}, "
+                             f"trial={rec.trial} is off the grid or repeated")
+        done[key] = rec
+    return done
+
+
+def resume_sweep(cfg: SweepConfig, existing_csv, jobs: int = 1) -> SweepResult:
+    """Complete the missing cells of an interrupted sweep (see load_done).
+
+    The merged result is identical to an uninterrupted run.
+    """
+    return run_sweep(cfg, jobs=jobs, done=load_done(cfg, existing_csv))
 
 
 def emit_heatmap(result: SweepResult, path) -> None:

@@ -20,7 +20,9 @@ _SVT_SEED_TAG = 0x5B7B10C4
 # kept triplets, relative to max(top value, tau), that accepts the sketch
 _SVT_OVERSAMPLE = 8
 _SVT_RESIDUAL_TOL = 1e-12
-# probes bounding the discarded part: the bound fails with probability 10^-8
+# probes bounding the discarded part: each check of the bound fails with
+# probability at most 10^-8, so at most 17 checks per svt call fail with
+# probability at most 1.7e-7 (union bound)
 _SVT_PROBES = 8
 _SVT_PROBE_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
 
@@ -114,8 +116,10 @@ def svt(M: np.ndarray, tau: float, rank_guess: Optional[int] = None) -> SvdResul
         ||M V_r - U_r S_r||_F <= 1e-12 * max(s_1, tau) (U_r^T M = S_r V_r^T
         holds by construction); and
     (c) eight further seeded Gaussian probes bound the spectral norm of the
-        rest, M - U_r S_r V_r^T, by tau (see _rest_at_most; the bound is
-        wrong with probability at most 1e-8).
+        rest, M - U_r S_r V_r^T, by tau (see _rest_at_most). Each check of
+        that bound is wrong with probability at most 1e-8, and it is checked
+        at most 17 times, so a call accepts a wrong bound with probability at
+        most 1.7e-7 (union bound).
 
     (a) and (b) alone can accept a sketch that missed values above tau: a
     sketch of l columns cannot see a few values just above tau among many
@@ -169,13 +173,17 @@ def _top_triplets(M: np.ndarray, tau: float, width: int) -> Optional[SvdResult]:
 
 
 def _rest_at_most(M, U, s, V, tau, probes, steps) -> bool:
-    """Whether ||R||_2 <= tau for R = M - U diag(s) V^T, up to probability 1e-8.
+    """Whether ||R||_2 <= tau for R = M - U diag(s) V^T, up to probability
+    (steps + 1) * 1e-8.
 
     For Gaussian probes w_1..w_p and B = (R R^T)^q R, ||B|| <= 10 sqrt(2/pi)
     max_i ||B w_i|| except with probability 10^-p (Halko, Martinsson & Tropp,
     Lemma 4.1), and ||B|| = ||R||^(2q+1); q grows until the bound certifies
-    ||R|| <= tau, or gives up after ``steps``. A probe that R or R^T
-    stretches by more than tau proves ||R|| > tau and stops at once.
+    ||R|| <= tau, or gives up after ``steps``. That is up to steps + 1
+    checks, each wrong with probability at most 10^-p, so a True is wrong
+    with probability at most (steps + 1) 10^-p: 1.7e-7 for p = 8 and the
+    cap steps <= 16 of svt. A probe that R or R^T stretches by more than
+    tau proves ||R|| > tau and stops at once.
     """
     def rest(X):
         return (M @ X - U @ (s[:, None] * (V.T @ X))) / tau

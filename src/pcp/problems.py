@@ -9,7 +9,7 @@ weighting parameters for the pursuit program.
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,12 +51,6 @@ class SupportSet:
     @property
     def count(self) -> int:
         return int(self.mask.sum())
-
-    @property
-    def indices(self) -> set:
-        """Set of (row, col) pairs in Omega. Intended for small instances."""
-        rows, cols = np.nonzero(self.mask)
-        return set(zip(rows.tolist(), cols.tolist()))
 
     def complement_mask(self) -> np.ndarray:
         return ~self.mask
@@ -164,22 +158,13 @@ def make_instance(
     )
 
 
-class IncoherenceResult:
+class IncoherenceResult(NamedTuple):
     """Leverage measurements of a rank-r matrix against the canonical basis."""
 
-    __slots__ = ("mu_row", "mu_col", "mu_cross", "mu")
-
-    def __init__(self, mu_row: float, mu_col: float, mu_cross: float):
-        self.mu_row = mu_row
-        self.mu_col = mu_col
-        self.mu_cross = mu_cross
-        self.mu = max(mu_row, mu_col, mu_cross)
-
-    def __repr__(self):
-        return (
-            f"IncoherenceResult(mu_row={self.mu_row:.6g}, mu_col={self.mu_col:.6g}, "
-            f"mu_cross={self.mu_cross:.6g}, mu={self.mu:.6g})"
-        )
+    mu_row: float
+    mu_col: float
+    mu_cross: float
+    mu: float  # max of the three
 
 
 def incoherence_mu(L: np.ndarray, r: int) -> IncoherenceResult:
@@ -210,7 +195,7 @@ def incoherence_mu(L: np.ndarray, r: int) -> IncoherenceResult:
     mu_col = (n / r) * float((Vr * Vr).sum(axis=1).max())
     uv_inf = float(np.abs(Ur @ Vr.T).max())
     mu_cross = (n * n / r) * uv_inf**2
-    return IncoherenceResult(mu_row, mu_col, mu_cross)
+    return IncoherenceResult(mu_row, mu_col, mu_cross, max(mu_row, mu_col, mu_cross))
 
 
 def lambda_dense(n: int, rho: float, C1: float) -> float:
@@ -223,8 +208,8 @@ def lambda_dense(n: int, rho: float, C1: float) -> float:
     _check_rho(rho)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if C1 < 0:
-        raise ValueError(f"C1 must be nonnegative, got {C1}")
+    if not 0 <= C1 < math.inf:
+        raise ValueError(f"C1 must be finite and nonnegative, got {C1}")
     return C1 / (4.0 * math.sqrt(1.0 - rho) + 2.25) * math.sqrt((1.0 - rho) / (n * rho))
 
 
@@ -233,6 +218,43 @@ def lambda_classic(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return 1.0 / math.sqrt(n)
+
+
+def lambda_from_spec(
+    spec: str, n: int, rho: Optional[float] = None, C1: Optional[float] = None
+) -> float:
+    """Weighting parameter from its spelling, the one lambda grammar.
+
+    ``classic`` is 1/sqrt(n); ``dense`` is lambda_dense at the given rho and
+    C1 (a sweep cell's); ``dense:<rho>,<C1>`` is lambda_dense at those
+    values; ``fixed:<v>`` and a bare ``<v>`` are the value v. Only finite
+    positive values are accepted.
+    """
+    if not isinstance(spec, str):
+        raise ValueError(f"lambda spec must be a string, got {spec!r}")
+    if spec == "classic":
+        return lambda_classic(n)
+    if spec == "dense":
+        if rho is None or C1 is None:
+            raise ValueError("lambda spec 'dense' needs a cell's rho and C1; "
+                             "give them as dense:<rho>,<C1>")
+        value = lambda_dense(n, rho, C1)
+    elif spec.startswith("dense:"):
+        try:
+            rho_str, c1_str = spec[len("dense:"):].split(",")
+            value = lambda_dense(n, float(rho_str), float(c1_str))
+        except ValueError as exc:
+            raise ValueError(f"bad lambda spec {spec!r}: {exc}; "
+                             "expected dense:<rho>,<C1>") from exc
+    else:
+        try:
+            value = float(spec[len("fixed:"):] if spec.startswith("fixed:") else spec)
+        except ValueError as exc:
+            raise ValueError(f"bad lambda spec {spec!r}; expected classic, dense, "
+                             "dense:<rho>,<C1>, fixed:<v> or <v>") from exc
+    if not 0 < value < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {value} from {spec!r}")
+    return value
 
 
 def rank_bound_ok(n: int, r: int, mu: float, C2: float = 1.0) -> bool:

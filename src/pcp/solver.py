@@ -26,6 +26,8 @@ reported objective is the sum of the last L step's shrunk singular values,
 which is ||L||_*, plus lambda * ||S||_1.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,10 +45,15 @@ class SolverConfig:
     mu_max_factor: float = 1e7        # mu_max = factor * mu0
 
     def __post_init__(self):
-        if self.tol_feasibility <= 0:
-            raise ValueError("tol_feasibility must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        numeric = ["tol_feasibility", "rho_mu", "mu_max_factor"]
+        for name in numeric + (["mu0"] if self.mu0 is not None else []):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) \
+                or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.rho_mu <= 1.0:
             raise ValueError("rho_mu must be > 1")
 
@@ -67,7 +74,7 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
     Parameters
     ----------
     D : square data matrix
-    lam : positive weight on the sparse term
+    lam : finite positive weight on the sparse term
     cfg : schedule constants; defaults are sized for desk-scale matrices
 
     Returns the final iterate, with converged=False when the feasibility
@@ -77,8 +84,8 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
     D = ensure_matrix(D, "D")
     if D.shape[0] != D.shape[1]:
         raise ValueError(f"D must be square, got {D.shape}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     if cfg is None:
         cfg = SolverConfig()
 

@@ -5,7 +5,6 @@ import sys
 import numpy as np
 import pytest
 
-from pcp.cli import parse_lambda_spec
 from pcp.pcpm import load_matrix
 
 
@@ -14,19 +13,6 @@ def run_cli(*args, env=None):
         [sys.executable, "-m", "pcp", *args],
         capture_output=True, text=True, env=env,
     )
-
-
-def test_parse_lambda_spec():
-    assert parse_lambda_spec("0.05", 100) == 0.05
-    assert parse_lambda_spec("classic", 400) == 0.05
-    dense = parse_lambda_spec("dense:0.5,0.8", 400)
-    assert abs(dense - 7.8765e-3) <= 1e-7
-    with pytest.raises(ValueError):
-        parse_lambda_spec("nonsense", 10)
-    with pytest.raises(ValueError):
-        parse_lambda_spec("dense:0.5", 10)
-    with pytest.raises(ValueError):
-        parse_lambda_spec("-1.0", 10)
 
 
 def test_gen_writes_instance_and_sidecar(tmp_path):
@@ -213,7 +199,7 @@ def test_sweep_interrupt_flush_keeps_grid_order(tmp_path, monkeypatch):
 
     cfg_path = sweep_config_file(tmp_path, n_list=[20], rho_grid=[0.3, 0.1])
 
-    def interrupted(cfg, jobs=None, collector=None):
+    def interrupted(cfg, jobs=None, done=None, collector=None):
         for rho, trial in ((0.1, 0), (0.3, 1), (0.3, 0)):  # completion order
             collector.append(SweepRecord(
                 n=20, rho=rho, r=1, C1=0.8, lam=0.2, trial=trial, seed=trial,
@@ -227,3 +213,96 @@ def test_sweep_interrupt_flush_keeps_grid_order(tmp_path, monkeypatch):
     assert pcp.cli.main(["sweep", "--config", str(cfg_path), "--out-csv", str(csv)]) == 2
     rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
     assert [(float(row[1]), int(row[5])) for row in rows] == [(0.3, 0), (0.3, 1), (0.1, 0)]
+
+
+BAD_SWEEP_CONFIGS = [
+    pytest.param(dict(bogus=1), id="unknown-top-level-key"),
+    pytest.param(dict(solver={"solvr": {"max_iters": 300}}), id="unknown-solver-key"),
+    pytest.param(dict(trials="2"), id="string-trials"),
+    pytest.param(dict(n_list=[20, 3], r=4), id="rank-above-smallest-n"),
+    pytest.param(dict(rho_grid=[0.1, 0.3, 0.1]), id="repeated-rho"),
+    pytest.param(dict(lambda_mode="fixed:nan"), id="nan-lambda"),
+    pytest.param(None, id="json-list"),
+]
+
+
+def bad_config_file(tmp_path, overrides):
+    if overrides is None:
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps([{"n_list": [20], "rho_grid": [0.1]}]))
+        return path
+    return sweep_config_file(tmp_path, **overrides)
+
+
+@pytest.mark.parametrize("overrides", BAD_SWEEP_CONFIGS)
+def test_sweep_rejects_bad_config_with_one_line(tmp_path, overrides):
+    csv = tmp_path / "out.csv"
+    proc = run_cli(
+        "sweep", "--config", str(bad_config_file(tmp_path, overrides)),
+        "--out-csv", str(csv),
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("overrides", BAD_SWEEP_CONFIGS)
+def test_sweep_rejects_bad_config_before_any_cell(tmp_path, monkeypatch, overrides):
+    import pcp.cli
+    import pcp.harness
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran for a config that should be rejected")
+
+    monkeypatch.setattr(pcp.harness, "make_instance", no_cell)
+    csv = tmp_path / "out.csv"
+    argv = ["sweep", "--config", str(bad_config_file(tmp_path, overrides)), "--out-csv", str(csv)]
+    assert pcp.cli.main(argv) == 1
+    assert not csv.exists()
+
+
+def test_sweep_error_in_a_cell_flushes_finished_rows(tmp_path, monkeypatch):
+    """Any exception while cells run keeps the finished rows and exits 2."""
+    import pcp.cli
+    import pcp.harness
+
+    run_cell = pcp.harness._run_cell
+    calls = []
+
+    def third_cell_fails(task):
+        calls.append(task)
+        if len(calls) == 3:
+            raise RuntimeError("cell failed")
+        return run_cell(task)
+
+    monkeypatch.setattr(pcp.harness, "_run_cell", third_cell_fails)
+    cfg_path = sweep_config_file(tmp_path, n_list=[20], rho_grid=[0.3, 0.1], trials=2)
+    csv = tmp_path / "partial.csv"
+    argv = ["sweep", "--config", str(cfg_path), "--out-csv", str(csv), "--jobs", "1"]
+    assert pcp.cli.main(argv) == 2
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [(float(row[1]), int(row[5])) for row in rows] == [(0.3, 0), (0.3, 1)]
+    assert (tmp_path / "partial.csv.json").exists()
+
+
+def test_sweep_rejected_resume_leaves_csv_untouched(tmp_path):
+    """--resume x.csv --out-csv x.csv with a mismatched config exits 1
+    without writing x.csv or its sidecar."""
+    import pcp.cli
+    from pcp.harness import SweepConfig, SweepResult, emit_csv, load_csv, write_sidecar
+
+    existing = tmp_path / "x.csv"
+    earlier = SweepConfig.from_dict(json.loads(sweep_config_file(tmp_path).read_text()))
+    emit_csv(SweepResult(config=earlier, records=[]), existing)
+    write_sidecar(SweepResult(config=earlier, records=[]), existing)
+    existing.write_text(existing.read_text() + "20,0.1,1,0.8,0.2,0,1,0,1,3,1,0\n")
+    assert len(load_csv(existing)) == 1
+    before = existing.read_bytes(), (tmp_path / "x.csv.json").read_bytes()
+
+    cfg_path = sweep_config_file(tmp_path, base_seed=8)
+    argv = ["sweep", "--config", str(cfg_path), "--resume", str(existing),
+            "--out-csv", str(existing)]
+    assert pcp.cli.main(argv) == 1
+    assert (existing.read_bytes(), (tmp_path / "x.csv.json").read_bytes()) == before

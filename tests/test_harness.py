@@ -263,12 +263,25 @@ def test_resume_requires_sidecar(tmp_path):
 
 # ----------------------------------------------------------------- config
 
-def test_config_hash_ignores_parallelism():
-    a = tiny_config(parallelism=1)
-    b = tiny_config(parallelism=8)
-    assert config_hash(a) == config_hash(b)
-    c = tiny_config(base_seed=99)
-    assert config_hash(a) != config_hash(c)
+def test_config_hash_golden_pins():
+    """Hashes of configs written before the config was validated up front
+    (C10's, and the README example's) do not move, so their sidecars still
+    verify on --resume."""
+    c10 = SweepConfig(
+        n_list=[30, 40], rho_grid=[0.1, 0.5], r=1, C1=0.8,
+        lambda_mode="dense", trials=3, base_seed=99, support_model="exact",
+        solver=SolverConfig(max_iters=400),
+    )
+    assert config_hash(c10) == "d0b3e673407c610ed6cd6d9adb62943c5ad39232bc67de14d4b3c3ef7999bdd9"
+    readme = SweepConfig.from_dict({
+        "n_list": [400],
+        "rho_grid": [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4],
+        "r": 1, "C1": 0.8, "lambda_mode": "dense", "trials": 10,
+        "base_seed": 2024, "support_model": "exact",
+        "solver": {"tol_feasibility": 1e-7, "max_iters": 1000},
+    })
+    assert config_hash(readme) == "87ccb183bff6b75b68a794df3a24a9a44ad986c48a0d0c8996ce72c36f9167db"
+    assert config_hash(tiny_config()) != config_hash(tiny_config(base_seed=99))
 
 
 def test_config_json_round_trip():
@@ -288,11 +301,23 @@ def test_config_validation():
         tiny_config(lambda_mode="bogus")
     with pytest.raises(ValueError):
         tiny_config(lambda_mode="fixed:-2")
-
-
-def test_fixed_lambda_mode():
-    cfg = tiny_config(lambda_mode="fixed:0.125")
-    assert cfg.resolve_lambda(100, 0.3) == 0.125
+    for bad in (
+        dict(n_list=[20, 3], r=4),          # r above the smallest n
+        dict(n_list=[20, 20]),
+        dict(rho_grid=[0.1, 0.3, 0.1]),
+        dict(trials=True),
+        dict(trials=2.0),
+        dict(r="1"),
+        dict(support_model="uniform"),
+        dict(C1=float("nan")),
+        dict(record_runtime="yes"),
+    ):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
+    with pytest.raises(ValueError, match="unknown"):
+        SweepConfig.from_dict({"n_list": [20], "rho_grid": [0.1], "parallelism": 2})
+    with pytest.raises(ValueError, match="lacks"):
+        SweepConfig.from_dict({"n_list": [20]})
 
 
 def test_statistical_monotonicity_in_dimension():

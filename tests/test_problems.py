@@ -10,11 +10,13 @@ from pcp.problems import (
     incoherence_mu,
     lambda_classic,
     lambda_dense,
+    lambda_from_spec,
     make_instance,
     random_signs_on,
     rank_bound_ok,
     sample_golfing_partition,
 )
+from pcp.harness import SweepConfig
 from pcp.rng import make_rng, mix_seed, splitmix64
 
 
@@ -233,6 +235,46 @@ def test_lambda_classic():
     assert lambda_classic(1600) == 0.025
 
 
+@pytest.mark.parametrize("spec, n, cell, expected, tol", [
+    # spellings of --lambda, which has no cell
+    pytest.param("0.05", 100, None, 0.05, 0.0, id="bare"),
+    pytest.param("classic", 400, None, 0.05, 0.0, id="classic"),
+    pytest.param("dense:0.5,0.8", 400, None, 7.8765e-3, 1e-7, id="dense-literal"),
+    pytest.param("nonsense", 10, None, ValueError, None, id="nonsense"),
+    pytest.param("dense:0.5", 10, None, ValueError, None, id="dense-one-value"),
+    pytest.param("-1.0", 10, None, ValueError, None, id="negative"),
+    pytest.param("nan", 10, None, ValueError, None, id="nan"),
+    pytest.param("inf", 10, None, ValueError, None, id="inf"),
+    pytest.param("dense", 400, None, ValueError, None, id="dense-without-cell"),
+    # spellings of lambda_mode, given a sweep cell's (rho, C1)
+    pytest.param("fixed:0.125", 100, (0.3, 0.8), 0.125, 0.0, id="fixed"),
+    pytest.param("dense", 400, (0.5, 0.8), 7.8765e-3, 1e-7, id="dense-cell"),
+    pytest.param("classic", 400, (0.5, 0.8), 0.05, 0.0, id="classic-cell"),
+    pytest.param("0.125", 100, (0.3, 0.8), 0.125, 0.0, id="bare-cell"),
+    pytest.param("fixed:nan", 100, (0.3, 0.8), ValueError, None, id="fixed-nan"),
+    pytest.param("fixed:0", 100, (0.3, 0.8), ValueError, None, id="fixed-zero"),
+    pytest.param("dense", 100, (0.3, float("nan")), ValueError, None, id="dense-nan-C1"),
+    pytest.param("dense", 100, (0.3, 0.0), ValueError, None, id="dense-zero-C1"),
+    pytest.param("dense:0.3,inf", 100, (0.3, 0.8), ValueError, None, id="dense-inf-C1"),
+    pytest.param("bogus", 100, (0.3, 0.8), ValueError, None, id="bogus"),
+])
+def test_lambda_from_spec(spec, n, cell, expected, tol):
+    """One grammar for --lambda and lambda_mode; only finite positive values pass."""
+    rho, C1 = cell if cell else (None, None)
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            lambda_from_spec(spec, n, rho, C1)
+    else:
+        assert abs(lambda_from_spec(spec, n, rho, C1) - expected) <= tol
+    if cell:  # a sweep config accepts exactly the specs the grammar accepts
+        build = lambda: SweepConfig(n_list=[n], rho_grid=[rho], C1=C1, lambda_mode=spec)
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                build()
+        else:
+            build()
+
+
 def test_rank_bound():
     assert rank_bound_ok(1600, 1, 1.0, 1.0)
     assert not rank_bound_ok(1600, 100, 1.0, 1.0)
@@ -263,9 +305,3 @@ def test_support_set_requires_square():
     with pytest.raises(ValueError):
         SupportSet(mask=np.zeros((3, 4), dtype=bool))
 
-
-def test_support_set_indices_view():
-    mask = np.zeros((5, 5), dtype=bool)
-    mask[1, 2] = mask[4, 0] = True
-    omega = SupportSet(mask=mask)
-    assert omega.indices == {(1, 2), (4, 0)}

@@ -107,12 +107,15 @@ def test_max_iters_reports_nonconverged():
 def test_solver_input_validation():
     with pytest.raises(ValueError):
         pcp_solve(np.zeros((3, 4)), 0.1)
-    with pytest.raises(ValueError):
-        pcp_solve(np.zeros((3, 3)), -1.0)
+    for lam in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lambda"):
+            pcp_solve(np.ones((3, 3)), lam)
     with pytest.raises(ValueError):
         SolverConfig(rho_mu=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol_feasibility=0.0)
+    for bad in (dict(tol_feasibility=0.0), dict(max_iters="300"), dict(max_iters=2.5),
+                dict(mu0=0.0), dict(mu_max_factor=float("inf"))):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 # ----------------------------------------------------------- pca_baseline
