@@ -17,20 +17,24 @@ recursion handling the tangent-space conditions and a Neumann least-squares
 series matching lambda * E on the support.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .linalg import ConvergenceError, ensure_matrix, spectral_norm, sqrt_top_eigenvalue
-from .problems import RANK_TOL, SupportSet
+from .problems import SupportSet, low_rank_factors
 from .rng import make_rng, mix_seed
 
 # tag for the operator-norm Lanczos start vector
 _OPNORM_SEED_TAG = 0x0113A7B5
 
 OPNORM_TOL = 1e-8
+# spectral level of the certificate: ||W|| < ALPHA, with lambda < 1 - ALPHA
+ALPHA = 0.9
+NEUMANN_MAX_TERMS = 1000
 
 
 @dataclass
@@ -56,10 +60,6 @@ class TangentSubspace:
                     )
 
     @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
-    @property
     def r(self) -> int:
         return self.U.shape[1]
 
@@ -74,20 +74,8 @@ class TangentSubspace:
         r=None detects the numerical rank (singular values above
         1e-8 * sigma_1); passing r checks sigma_{r+1} against the same cutoff.
         """
-        L = ensure_matrix(L, "L")
-        U, s, Vt = np.linalg.svd(L)
-        if s.size == 0 or s[0] == 0.0:
-            detected = 0
-        else:
-            detected = int((s > RANK_TOL * s[0]).sum())
-        if r is None:
-            r = detected
-        elif detected > r:
-            raise ValueError(
-                f"numerical rank {detected} exceeds requested r={r} "
-                f"(sigma_{r + 1}/sigma_1 = {s[r] / s[0]:.3e})"
-            )
-        return cls(U=U[:, :r], V=Vt[:r, :].T)
+        U, V = low_rank_factors(ensure_matrix(L, "L"), r)
+        return cls(U=U, V=V)
 
 
 def project_tangent(M: np.ndarray, T: TangentSubspace) -> np.ndarray:
@@ -109,7 +97,24 @@ def project_support(M: np.ndarray, omega: SupportSet) -> np.ndarray:
 
 
 def project_support_complement(M: np.ndarray, omega: SupportSet) -> np.ndarray:
-    return M * omega.complement_mask()
+    return M * ~omega.mask
+
+
+def _support_norms(M: np.ndarray, omega: SupportSet) -> tuple:
+    """(||P_Omega M||_F, ||P_Omega_perp M||_inf)."""
+    on = float(np.linalg.norm(project_support(M, omega)))
+    off = project_support_complement(M, omega)
+    return on, float(np.abs(off).max()) if off.size else 0.0
+
+
+def _check_on_support(E: np.ndarray, omega: SupportSet) -> None:
+    if np.any(E[~omega.mask]):
+        raise ValueError("E has entries outside the support set")
+
+
+def _resolve_sigma(omega: SupportSet, T: TangentSubspace, given: Optional[float]) -> float:
+    """A precomputed ||P_Omega P_T|| if given, else its Lanczos estimate."""
+    return given if given is not None else opnorm_support_tangent(omega, T)
 
 
 def opnorm_support_tangent(
@@ -177,16 +182,16 @@ def neumann_component(
     E: np.ndarray,
     lam: float,
     tol: float = 1e-10,
-    max_terms: int = 1000,
     support_tangent_norm: Optional[float] = None,
 ) -> np.ndarray:
     """Least-squares certificate part via the Neumann operator series.
 
     Computes lambda * P_Tperp sum_k (P_Omega P_T P_Omega)^k E by iterated
-    projection, adding terms while the current term's Frobenius norm is at
-    least tol * lambda. The result satisfies P_T W = 0 up to round-off (a
-    final explicit complement projection) and matches lambda * E on the
-    support up to the truncated geometric tail.
+    projection, summing terms up to the first whose Frobenius norm is below
+    tol (absolute, not scaled by lambda), which is left out; past
+    NEUMANN_MAX_TERMS terms it raises ConvergenceError. The result satisfies
+    P_T W = 0 up to round-off (a final explicit complement projection) and
+    matches lambda * E on the support up to the truncated geometric tail.
 
     E must be supported on Omega with entries in {-1, 0, +1}. The series
     requires ||P_Omega P_T|| < 1; values within 1e-6 of 1 are refused as
@@ -198,18 +203,11 @@ def neumann_component(
         raise ValueError(f"lambda must be positive, got {lam}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    off_support = E[~omega.mask]
-    if off_support.size and np.abs(off_support).max() > 0:
-        raise ValueError("E has entries outside the support set")
-    on_support = E[omega.mask]
-    if on_support.size and not np.all(np.isin(on_support, (-1.0, 0.0, 1.0))):
+    _check_on_support(E, omega)
+    if not np.all(np.isin(E[omega.mask], (-1.0, 0.0, 1.0))):
         raise ValueError("E entries must be -1, 0, or +1")
 
-    sigma = (
-        support_tangent_norm
-        if support_tangent_norm is not None
-        else opnorm_support_tangent(omega, T)
-    )
+    sigma = _resolve_sigma(omega, T, support_tangent_norm)
     if sigma >= 1.0 - 1e-6:
         raise ValueError(
             f"||P_Omega P_T|| = {sigma:.8f} is too close to 1; Neumann series diverges"
@@ -217,15 +215,14 @@ def neumann_component(
 
     term = E.copy()
     total = np.zeros_like(E)
-    for _ in range(max_terms):
+    for _ in range(NEUMANN_MAX_TERMS):
         total += term
         term = project_support(project_tangent(term, T), omega)
         if float(np.linalg.norm(term)) < tol:
-            W = lam * project_tangent_complement(total, T)
-            return W
+            return lam * project_tangent_complement(total, T)
     residual = float(np.linalg.norm(term))
     raise ConvergenceError(
-        f"Neumann series not below tol={tol} after {max_terms} terms "
+        f"Neumann series not below tol={tol} after {NEUMANN_MAX_TERMS} terms "
         f"(last term norm {residual:.3e})",
         estimate=residual,
     )
@@ -233,18 +230,15 @@ def neumann_component(
 
 @dataclass
 class GolfingBounds:
-    """Margins of the three bound checks on the golfing certificate part."""
+    """Measured values and pass flags of the golfing-part bound checks."""
 
     w_spectral: float
-    a_bound: float
-    a_ok: bool
     support_residual: float
-    b_bound: float
-    b_ok: bool
     off_support_inf: float
-    c_bound: float
-    c_ok: bool
     sigma: float
+    a_ok: bool
+    b_ok: bool
+    c_ok: bool
 
     @property
     def all_ok(self) -> bool:
@@ -253,19 +247,15 @@ class GolfingBounds:
 
 @dataclass
 class SignBounds:
-    """Margins of the bound checks on the sign (Neumann) certificate part."""
+    """Measured values and pass flags of the sign (Neumann) part checks."""
 
     w_spectral: float
-    a_bound: float
-    a_ok: bool
     off_support_inf: float
-    b_bound: float
-    b_ok: bool
     e_spectral: float
-    e_bound: float
-    e_norm_ok: bool
     tail_spectral: float
-    tail_bound: float
+    a_ok: bool
+    b_ok: bool
+    e_norm_ok: bool
     tail_ok: bool
 
     @property
@@ -273,9 +263,30 @@ class SignBounds:
         return self.a_ok and self.b_ok and self.e_norm_ok and self.tail_ok
 
 
+# JSON keys that differ from the report's field names, by dotted field path
+_JSON_NAMES = {
+    "lam": "lambda",
+    "wl_checks.w_spectral": "w_l_spectral",
+    "ws_checks.w_spectral": "w_s_spectral",
+}
+
+
+def _json_fields(fields: dict, prefix: str = "") -> dict:
+    return {
+        _JSON_NAMES.get(prefix + key, key):
+            _json_fields(value, f"{key}.") if isinstance(value, dict) else value
+        for key, value in fields.items()
+        if value is not None
+    }
+
+
 @dataclass
 class CertificateReport:
-    """Numerical evaluation of the four optimality conditions for W."""
+    """Numerical evaluation of the four optimality conditions for W.
+
+    Fields are listed in the order of the JSON report; a part check that
+    was not run (None) is left out of it.
+    """
 
     pt_w_norm: float
     w_spectral: float
@@ -292,49 +303,11 @@ class CertificateReport:
     lambda_hypothesis_ok: bool
     opnorm_hypothesis_ok: bool
     support_tangent_norm: float
-    wl_checks: Optional[GolfingBounds] = field(default=None)
-    ws_checks: Optional[SignBounds] = field(default=None)
+    wl_checks: Optional[GolfingBounds] = None
+    ws_checks: Optional[SignBounds] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "pt_w_norm": self.pt_w_norm,
-            "w_spectral": self.w_spectral,
-            "omega_residual": self.omega_residual,
-            "omega_perp_inf": self.omega_perp_inf,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "lambda": self.lam,
-            "passed": self.passed,
-            "tangent_ok": self.tangent_ok,
-            "spectral_ok": self.spectral_ok,
-            "support_ok": self.support_ok,
-            "off_support_ok": self.off_support_ok,
-            "lambda_hypothesis_ok": self.lambda_hypothesis_ok,
-            "opnorm_hypothesis_ok": self.opnorm_hypothesis_ok,
-            "support_tangent_norm": self.support_tangent_norm,
-        }
-        if self.wl_checks is not None:
-            d["wl_checks"] = {
-                "w_l_spectral": self.wl_checks.w_spectral,
-                "support_residual": self.wl_checks.support_residual,
-                "off_support_inf": self.wl_checks.off_support_inf,
-                "sigma": self.wl_checks.sigma,
-                "a_ok": self.wl_checks.a_ok,
-                "b_ok": self.wl_checks.b_ok,
-                "c_ok": self.wl_checks.c_ok,
-            }
-        if self.ws_checks is not None:
-            d["ws_checks"] = {
-                "w_s_spectral": self.ws_checks.w_spectral,
-                "off_support_inf": self.ws_checks.off_support_inf,
-                "e_spectral": self.ws_checks.e_spectral,
-                "tail_spectral": self.ws_checks.tail_spectral,
-                "a_ok": self.ws_checks.a_ok,
-                "b_ok": self.ws_checks.b_ok,
-                "e_norm_ok": self.ws_checks.e_norm_ok,
-                "tail_ok": self.ws_checks.tail_ok,
-            }
-        return d
+        return _json_fields(dataclasses.asdict(self))
 
 
 def verify_certificate(
@@ -343,55 +316,46 @@ def verify_certificate(
     omega: SupportSet,
     E: np.ndarray,
     lam: float,
-    alpha: float = 0.9,
     eps: Optional[float] = None,
     support_tangent_norm: Optional[float] = None,
 ) -> CertificateReport:
     """Evaluate the four certificate conditions and the two hypotheses.
 
     ``passed`` reflects the four conditions only (tangent annihilation is
-    tested as ||P_T W||_F <= 1e-8 * ||W||_F); the hypothesis flags
-    lambda < 1 - alpha and ||P_Omega P_T|| <= 1 - eps are reported
+    tested as ||P_T W||_F <= 1e-8 * ||W||_F; alpha is ALPHA); the hypothesis
+    flags lambda < 1 - alpha and ||P_Omega P_T|| <= 1 - eps are reported
     separately. eps defaults to 1 - ||P_Omega P_T|| measured on the
-    instance, the loosest admissible choice.
+    instance, the loosest admissible choice. E, the corruption sign matrix,
+    must be supported on Omega.
     """
     W = ensure_matrix(W, "W")
     E = ensure_matrix(E, "E")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
+    _check_on_support(E, omega)
 
-    sigma = (
-        support_tangent_norm
-        if support_tangent_norm is not None
-        else opnorm_support_tangent(omega, T)
-    )
+    sigma = _resolve_sigma(omega, T, support_tangent_norm)
     if eps is None:
         eps = 1.0 - sigma
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
 
-    UV = T.uv()
     w_fro = float(np.linalg.norm(W))
     pt_w_norm = float(np.linalg.norm(project_tangent(W, T)))
     w_spectral = spectral_norm(W)
-    G = UV + W
-    omega_residual = float(np.linalg.norm(project_support(G - lam * E, omega)))
-    off = project_support_complement(G, omega)
-    omega_perp_inf = float(np.abs(off).max()) if off.size else 0.0
+    # E vanishes off Omega, so the off-support part of G - lam E is that of G
+    omega_residual, omega_perp_inf = _support_norms(T.uv() + W - lam * E, omega)
 
     tangent_ok = pt_w_norm <= 1e-8 * w_fro if w_fro > 0 else True
-    spectral_ok = w_spectral < alpha
+    spectral_ok = w_spectral < ALPHA
     support_ok = omega_residual <= lam * eps**2
     off_support_ok = omega_perp_inf < lam / 2.0
-    lambda_hypothesis_ok = lam < 1.0 - alpha
-    opnorm_hypothesis_ok = sigma <= 1.0 - eps + 1e-12
-
     return CertificateReport(
         pt_w_norm=pt_w_norm,
         w_spectral=w_spectral,
         omega_residual=omega_residual,
         omega_perp_inf=omega_perp_inf,
-        alpha=alpha,
+        alpha=ALPHA,
         epsilon=eps,
         lam=lam,
         passed=tangent_ok and spectral_ok and support_ok and off_support_ok,
@@ -399,8 +363,8 @@ def verify_certificate(
         spectral_ok=spectral_ok,
         support_ok=support_ok,
         off_support_ok=off_support_ok,
-        lambda_hypothesis_ok=lambda_hypothesis_ok,
-        opnorm_hypothesis_ok=opnorm_hypothesis_ok,
+        lambda_hypothesis_ok=lam < 1.0 - ALPHA,
+        opnorm_hypothesis_ok=sigma <= 1.0 - eps + 1e-12,
         support_tangent_norm=sigma,
     )
 
@@ -419,23 +383,13 @@ def check_golfing_bounds(
     value), so the checks certify the instance at hand.
     """
     W_L = ensure_matrix(W_L, "W_L")
-    sigma = (
-        support_tangent_norm
-        if support_tangent_norm is not None
-        else opnorm_support_tangent(omega, T)
-    )
-    G = T.uv() + W_L
+    sigma = _resolve_sigma(omega, T, support_tangent_norm)
     w_spec = spectral_norm(W_L)
-    support_residual = float(np.linalg.norm(project_support(G, omega)))
-    off = project_support_complement(G, omega)
-    off_inf = float(np.abs(off).max()) if off.size else 0.0
-    b_bound = lam * (1.0 - sigma) ** 2
+    support_residual, off_inf = _support_norms(T.uv() + W_L, omega)
     return GolfingBounds(
-        w_spectral=w_spec, a_bound=0.1, a_ok=w_spec < 0.1,
-        support_residual=support_residual, b_bound=b_bound,
-        b_ok=support_residual < b_bound,
-        off_support_inf=off_inf, c_bound=lam / 4.0, c_ok=off_inf < lam / 4.0,
-        sigma=sigma,
+        w_spectral=w_spec, support_residual=support_residual,
+        off_support_inf=off_inf, sigma=sigma, a_ok=w_spec < 0.1,
+        b_ok=support_residual < lam * (1.0 - sigma) ** 2, c_ok=off_inf < lam / 4.0,
     )
 
 
@@ -463,47 +417,38 @@ def check_sign_bounds(
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly in (0, 1), got {rho}")
     w_spec = spectral_norm(W_S)
-    off = project_support_complement(W_S, omega)
-    off_inf = float(np.abs(off).max()) if off.size else 0.0
+    _, off_inf = _support_norms(W_S, omega)
     e_spec = spectral_norm(E)
-    e_bound = 4.0 * math.sqrt(n * rho)
-    tail = W_S / lam - project_tangent_complement(E, T)
-    tail_spec = spectral_norm(tail)
-    tail_bound = 2.25 * math.sqrt(rho * n / (1.0 - rho))
+    tail_spec = spectral_norm(W_S / lam - project_tangent_complement(E, T))
     return SignBounds(
-        w_spectral=w_spec, a_bound=0.8, a_ok=w_spec < 0.8,
-        off_support_inf=off_inf, b_bound=lam / 4.0, b_ok=off_inf < lam / 4.0,
-        e_spectral=e_spec, e_bound=e_bound, e_norm_ok=e_spec <= e_bound,
-        tail_spectral=tail_spec, tail_bound=tail_bound,
-        tail_ok=tail_spec <= tail_bound,
+        w_spectral=w_spec, off_support_inf=off_inf, e_spectral=e_spec,
+        tail_spectral=tail_spec, a_ok=w_spec < 0.8, b_ok=off_inf < lam / 4.0,
+        e_norm_ok=e_spec <= 4.0 * math.sqrt(n * rho),
+        tail_ok=tail_spec <= 2.25 * math.sqrt(rho * n / (1.0 - rho)),
     )
 
 
-def partition_support_complement(
-    omega: SupportSet, j0: int, seed: int, q: Optional[float] = None
-) -> SupportSet:
+def partition_support_complement(omega: SupportSet, j0: int, seed: int) -> SupportSet:
     """Attach a golfing partition to an existing support set.
 
     Every complement entry joins each of the j0 batches independently with
     probability q, conditioned on joining at least one, which reproduces the
-    law of batches sampled Bernoulli(q) given their union. q defaults to
+    law of batches sampled Bernoulli(q) given their union. q is
     1 - (|Omega|/n^2)^(1/j0), matching the empirical density.
     """
     if j0 < 1:
         raise ValueError(f"j0 must be >= 1, got {j0}")
     n = omega.n
-    if q is None:
-        density = omega.count / float(n * n)
-        if density <= 0.0:
-            q = 1.0  # empty support: unconditioned batches cover everything
-        else:
-            q = 1.0 - density ** (1.0 / j0)
+    density = omega.count / float(n * n)
+    if density <= 0.0:
+        q = 1.0  # empty support: unconditioned batches cover everything
+    else:
+        q = 1.0 - density ** (1.0 / j0)
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q}")
     rng = make_rng(seed)
-    comp = omega.complement_mask()
     batches = [np.zeros((n, n), dtype=bool) for _ in range(j0)]
-    pending = comp.copy()
+    pending = ~omega.mask
     # redraw memberships for entries that landed in no batch: conditioning
     # Ber(q)^j0 on at least one success
     while pending.any():
@@ -531,9 +476,6 @@ def certify_instance(
     lam: float,
     j0: Optional[int] = None,
     seed: int = 0,
-    alpha: float = 0.9,
-    neumann_tol: float = 1e-10,
-    rank: Optional[int] = None,
 ) -> tuple:
     """End-to-end certificate construction and verification for (L0, S0).
 
@@ -541,15 +483,15 @@ def certify_instance(
     partition to the support complement (seeded), constructs
     W = W_golfing + W_neumann, and returns (report, W) where the report
     carries the combined verification plus the per-part bound checks.
+    The rank of L0 is its numerical rank.
     """
     L0 = ensure_matrix(L0, "L0")
     S0 = ensure_matrix(S0, "S0")
     n = L0.shape[0]
     if L0.shape != S0.shape or L0.shape[0] != L0.shape[1]:
         raise ValueError("L0 and S0 must be square matrices of equal shape")
-    T = TangentSubspace.from_low_rank(L0, rank)
-    mask = S0 != 0.0
-    omega = SupportSet(mask=mask)
+    T = TangentSubspace.from_low_rank(L0)
+    omega = SupportSet(mask=S0 != 0.0)
     E = np.sign(S0)
     rho = omega.count / float(n * n)
     if j0 is None:
@@ -557,13 +499,9 @@ def certify_instance(
     omega_part = partition_support_complement(omega, j0, seed)
     sigma = opnorm_support_tangent(omega_part, T)
     W_L, _ = golfing_component(omega_part, T)
-    W_S = neumann_component(
-        omega_part, T, E, lam, tol=neumann_tol, support_tangent_norm=sigma
-    )
+    W_S = neumann_component(omega_part, T, E, lam, support_tangent_norm=sigma)
     W = W_L + W_S
-    report = verify_certificate(
-        W, T, omega_part, E, lam, alpha=alpha, support_tangent_norm=sigma
-    )
+    report = verify_certificate(W, T, omega_part, E, lam, support_tangent_norm=sigma)
     report.wl_checks = check_golfing_bounds(
         W_L, T, omega_part, lam, support_tangent_norm=sigma
     )

@@ -84,12 +84,26 @@ def _cmd_certify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _check_writable(path: str) -> None:
+    """Reject an output file that could not be written, before any work."""
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not target.parent.is_dir():
+        raise ValueError(f"cannot write {path}: no directory {target.parent}")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise ValueError(f"cannot write {path}: permission denied")
+
+
 def _cmd_sweep(args) -> int:
     # everything that can reject the input runs before the first cell
     cfg = SweepConfig.from_dict(json.loads(Path(args.config).read_text()))
     jobs = args.jobs if args.jobs is not None else int(os.environ.get("PCP_JOBS", "1"))
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for path in (args.out_csv, args.out_csv + ".json", args.out_pgm):
+        if path:
+            _check_writable(path)
     done = load_done(cfg, args.resume) if args.resume else {}
     collector = []
     try:

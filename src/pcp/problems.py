@@ -52,9 +52,6 @@ class SupportSet:
     def count(self) -> int:
         return int(self.mask.sum())
 
-    def complement_mask(self) -> np.ndarray:
-        return ~self.mask
-
 
 @dataclass
 class ProblemInstance:
@@ -167,6 +164,25 @@ class IncoherenceResult(NamedTuple):
     mu: float  # max of the three
 
 
+def low_rank_factors(L: np.ndarray, r: Optional[int] = None) -> tuple:
+    """Leading singular factors (U_r, V_r) of L, with orthonormal columns.
+
+    r=None takes the numerical rank: the count of singular values above
+    RANK_TOL * sigma_1 (0 for a zero matrix). A given r is checked against
+    it: ValueError when sigma_{r+1} > RANK_TOL * sigma_1.
+    """
+    U, s, Vt = np.linalg.svd(L)
+    detected = int((s > RANK_TOL * s[0]).sum()) if s.size and s[0] > 0 else 0
+    if r is None:
+        r = detected
+    elif detected > r:
+        raise ValueError(
+            f"numerical rank {detected} exceeds r={r} "
+            f"(sigma_{r + 1}/sigma_1 = {s[r] / s[0]:.3e})"
+        )
+    return U[:, :r], Vt[:r].T
+
+
 def incoherence_mu(L: np.ndarray, r: int) -> IncoherenceResult:
     """Smallest mu making the three incoherence bounds hold for L.
 
@@ -176,7 +192,7 @@ def incoherence_mu(L: np.ndarray, r: int) -> IncoherenceResult:
     three, i.e. the smallest constant for which all three bounds are true.
 
     Raises ValueError when the numerical rank of L exceeds r
-    (sigma_{r+1} > 1e-8 * sigma_1).
+    (sigma_{r+1} > RANK_TOL * sigma_1).
     """
     L = ensure_matrix(L)
     n = L.shape[0]
@@ -184,13 +200,7 @@ def incoherence_mu(L: np.ndarray, r: int) -> IncoherenceResult:
         raise ValueError(f"expected a square matrix, got {L.shape}")
     if not 1 <= r <= n:
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}")
-    U, s, Vt = np.linalg.svd(L)
-    if r < len(s) and s[0] > 0 and s[r] > RANK_TOL * s[0]:
-        raise ValueError(
-            f"numerical rank exceeds r={r}: sigma_{r+1}/sigma_1 = {s[r] / s[0]:.3e}"
-        )
-    Ur = U[:, :r]
-    Vr = Vt[:r, :].T
+    Ur, Vr = low_rank_factors(L, r)
     mu_row = (n / r) * float((Ur * Ur).sum(axis=1).max())
     mu_col = (n / r) * float((Vr * Vr).sum(axis=1).max())
     uv_inf = float(np.abs(Ur @ Vr.T).max())

@@ -434,6 +434,46 @@ def test_certify_instance_end_to_end():
     }
 
 
+REPORT_KEYS = [
+    "pt_w_norm", "w_spectral", "omega_residual", "omega_perp_inf", "alpha",
+    "epsilon", "lambda", "passed", "tangent_ok", "spectral_ok", "support_ok",
+    "off_support_ok", "lambda_hypothesis_ok", "opnorm_hypothesis_ok",
+    "support_tangent_norm", "wl_checks", "ws_checks",
+]
+WL_KEYS = [
+    "w_l_spectral", "support_residual", "off_support_inf", "sigma",
+    "a_ok", "b_ok", "c_ok",
+]
+WS_KEYS = [
+    "w_s_spectral", "off_support_inf", "e_spectral", "tail_spectral",
+    "a_ok", "b_ok", "e_norm_ok", "tail_ok",
+]
+
+
+def test_certificate_json_key_order_is_pinned():
+    # the `pcp certify` JSON contract: exact keys, in this order
+    n, rho = 40, 0.05
+    lam = lambda_dense(n, rho, 0.8)
+    _, omega = generate_sign_corruption(n, rho, "exact", 44)
+    report, _ = certify_instance(np.ones((n, n)) / n, random_signs_on(omega, 45), lam, seed=3)
+    payload = report.to_dict()
+    assert list(payload) == REPORT_KEYS
+    assert list(payload["wl_checks"]) == WL_KEYS
+    assert list(payload["ws_checks"]) == WS_KEYS
+    assert payload["alpha"] == 0.9 and payload["lambda"] == lam
+    assert payload["wl_checks"]["w_l_spectral"] == report.wl_checks.w_spectral
+    assert payload["ws_checks"]["w_s_spectral"] == report.ws_checks.w_spectral
+
+
+def test_certificate_json_without_corruption_has_no_sign_checks():
+    n = 30
+    report, _ = certify_instance(np.ones((n, n)) / n, np.zeros((n, n)), 0.1, seed=0)
+    assert report.ws_checks is None
+    payload = report.to_dict()
+    assert list(payload) == REPORT_KEYS[:-1]
+    assert list(payload["wl_checks"]) == WL_KEYS
+
+
 def test_default_j0():
     assert default_j0(200) == 12  # 2 * ceil(ln 200)
     assert default_j0(400) == 12

@@ -263,6 +263,32 @@ def test_sweep_rejects_bad_config_before_any_cell(tmp_path, monkeypatch, overrid
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("outputs", [
+    pytest.param(("missing/out.csv", None), id="missing-csv-dir"),
+    pytest.param(("out.csv", "missing/out.pgm"), id="missing-pgm-dir"),
+    pytest.param(("csvdir", None), id="csv-path-is-a-directory"),
+])
+def test_sweep_rejects_unwritable_output_before_any_cell(tmp_path, monkeypatch, capsys, outputs):
+    import pcp.cli
+    import pcp.harness
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran although an output cannot be written")
+
+    monkeypatch.setattr(pcp.harness, "make_instance", no_cell)
+    cfg_path = sweep_config_file(tmp_path)
+    (tmp_path / "csvdir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    csv, pgm = outputs
+    argv = ["sweep", "--config", str(cfg_path), "--out-csv", str(tmp_path / csv)]
+    if pgm:
+        argv += ["--out-pgm", str(tmp_path / pgm)]
+    assert pcp.cli.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_sweep_error_in_a_cell_flushes_finished_rows(tmp_path, monkeypatch):
     """Any exception while cells run keeps the finished rows and exits 2."""
     import pcp.cli
