@@ -16,6 +16,7 @@ import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import product
 from pathlib import Path
 from typing import Optional, get_args
 
@@ -24,8 +25,6 @@ import numpy as np
 from .problems import SupportModel, lambda_from_spec, make_instance
 from .rng import mix_seed
 from .solver import SolverConfig, SolveResult, pcp_solve
-
-CSV_HEADER = "n,rho,r,C1,lambda,trial,seed,rel_err_L,success,iterations,converged,runtime_ms"
 
 
 @dataclass
@@ -82,9 +81,7 @@ class SweepConfig:
                 lambda_from_spec(self.lambda_mode, n, rho, self.C1)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["solver"] = asdict(self.solver)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d) -> "SweepConfig":
@@ -122,6 +119,8 @@ def _check_int(name: str, x) -> None:
 
 @dataclass
 class SweepRecord:
+    """One trial of a sweep; the fields, in order, are the CSV columns."""
+
     n: int
     rho: float
     r: int
@@ -134,6 +133,21 @@ class SweepRecord:
     iterations: int
     converged: bool
     runtime_ms: float
+
+
+_COLUMNS = fields(SweepRecord)
+CSV_HEADER = ",".join("lambda" if f.name == "lam" else f.name for f in _COLUMNS)
+
+
+def _parse_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"a flag must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+# by declared field type: CSV text of a value, and the value of a CSV text
+_FORMAT = {int: str, float: "{:.9g}".format, bool: lambda flag: "1" if flag else "0"}
+_PARSE = {int: int, float: float, bool: _parse_flag}
 
 
 @dataclass
@@ -150,14 +164,20 @@ class SweepResult:
             key=lambda rec: (rec.n, _rho_index(self.config, rec.rho), rec.trial),
         )
 
+    def _tally(self) -> dict:
+        """(n, rho_idx) -> (successes, records) of each cell that has records."""
+        tally = {}
+        for rec in self.records:
+            key = (rec.n, _rho_index(self.config, rec.rho))
+            hits, trials = tally.get(key, (0, 0))
+            tally[key] = (hits + rec.success, trials + 1)
+        return tally
+
     def success_fraction(self, n: int, rho: float) -> float:
-        hits = [
-            rec for rec in self.records
-            if rec.n == n and _close(rec.rho, rho)
-        ]
-        if not hits:
+        hits, trials = self._tally().get((n, _rho_index(self.config, rho)), (0, 0))
+        if not trials:
             raise KeyError(f"no records for cell (n={n}, rho={rho})")
-        return sum(1 for rec in hits if rec.success) / len(hits)
+        return hits / trials
 
 
 def cell_seed(base_seed: int, n: int, rho_idx: int, trial: int) -> int:
@@ -169,10 +189,6 @@ def config_hash(cfg: SweepConfig) -> str:
     """Hash of every config field; each one affects the results."""
     canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
 def _run_cell(args) -> SweepRecord:
@@ -202,76 +218,54 @@ def _run_cell(args) -> SweepRecord:
 
 
 def _all_cells(cfg: SweepConfig) -> list:
-    return [
-        (n, rho_idx, trial)
-        for n in cfg.n_list
-        for rho_idx in range(len(cfg.rho_grid))
-        for trial in range(cfg.trials)
-    ]
+    """Every (n, rho_idx, trial) cell of the grid."""
+    return list(product(cfg.n_list, range(len(cfg.rho_grid)), range(cfg.trials)))
 
 
-def run_sweep(
-    cfg: SweepConfig,
-    jobs: int = 1,
-    done: Optional[dict] = None,
-    collector: Optional[list] = None,
-) -> SweepResult:
+def run_sweep(cfg: SweepConfig, jobs: int = 1, done: Optional[dict] = None) -> SweepResult:
     """Execute (or complete) a sweep and return all records in grid order.
 
     ``jobs`` worker processes run the cells. ``done`` maps
-    (n, rho_idx, trial) to already-computed records (see load_done).
-    ``collector``, when given, receives those records and then each new one
-    as it completes, so a caller can flush the finished cells if the run
-    stops on an exception.
+    (n, rho_idx, trial) to already-computed records (see load_done); the
+    cells it lacks are run and each finished record is added to it in place,
+    also when the run stops on an exception, so a caller that passed the
+    dict still holds every finished cell.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    done = done or {}
-    collector = collector if collector is not None else []
-    collector.extend(done.values())
-
+    done = {} if done is None else done
     todo = [cell for cell in _all_cells(cfg) if cell not in done]
-    tasks = [(cfg, n, rho_idx, trial) for (n, rho_idx, trial) in todo]
-    if jobs == 1 or len(tasks) <= 1:
-        for task in tasks:
-            collector.append(_run_cell(task))
+    if jobs == 1 or len(todo) <= 1:
+        for cell in todo:
+            done[cell] = _run_cell((cfg, *cell))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            waiting = {pool.submit(_run_cell, task) for task in tasks}
+            waiting = {pool.submit(_run_cell, (cfg, *cell)): cell for cell in todo}
             try:
                 for future in as_completed(list(waiting)):
-                    waiting.remove(future)
-                    collector.append(future.result())
+                    cell = waiting.pop(future)
+                    done[cell] = future.result()
             except BaseException:
                 # start no further cell; keep those that finish while shutting down
                 pool.shutdown(cancel_futures=True)
-                collector.extend(f.result() for f in waiting
-                                 if not f.cancelled() and f.exception() is None)
+                done.update((cell, f.result()) for f, cell in waiting.items()
+                            if not f.cancelled() and f.exception() is None)
                 raise
-    return SweepResult(config=cfg, records=collector)
+    return SweepResult(config=cfg, records=list(done.values()))
 
 
 def _rho_index(cfg: SweepConfig, rho: float) -> int:
     for i, value in enumerate(cfg.rho_grid):
-        if _close(value, rho):
+        if abs(value - rho) <= 1e-9 * max(1.0, abs(value), abs(rho)):
             return i
     raise ValueError(f"rho={rho} is not on the configured grid")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def emit_csv(result: SweepResult, path) -> None:
     """One row per trial, floats at 9 significant digits, booleans as 0/1."""
-    lines = [CSV_HEADER]
-    for rec in result.records:
-        lines.append(
-            f"{rec.n},{_fmt(rec.rho)},{rec.r},{_fmt(rec.C1)},{_fmt(rec.lam)},"
-            f"{rec.trial},{rec.seed},{_fmt(rec.rel_err_L)},{1 if rec.success else 0},"
-            f"{rec.iterations},{1 if rec.converged else 0},{_fmt(rec.runtime_ms)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [",".join(_FORMAT[f.type](getattr(rec, f.name)) for f in _COLUMNS)
+            for rec in result.records]
+    Path(path).write_text("\n".join([CSV_HEADER, *rows]) + "\n")
 
 
 def write_sidecar(result: SweepResult, csv_path) -> None:
@@ -284,25 +278,21 @@ def write_sidecar(result: SweepResult, csv_path) -> None:
 
 
 def load_csv(path) -> list:
-    """Parse an emitted CSV back into SweepRecord objects."""
+    """Parse an emitted CSV back into SweepRecord objects; each value must
+    parse as its field's type, and a flag must read 0 or 1."""
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected CSV header")
     records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 12:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        records.append(
-            SweepRecord(
-                n=int(parts[0]), rho=float(parts[1]), r=int(parts[2]),
-                C1=float(parts[3]), lam=float(parts[4]), trial=int(parts[5]),
-                seed=int(parts[6]), rel_err_L=float(parts[7]),
-                success=parts[8] == "1", iterations=int(parts[9]),
-                converged=parts[10] == "1", runtime_ms=float(parts[11]),
-            )
-        )
+    for row, ln in enumerate(lines[1:], start=1):
+        values = ln.split(",")
+        try:
+            if len(values) != len(_COLUMNS):
+                raise ValueError(f"{len(values)} values for {len(_COLUMNS)} columns")
+            records.append(SweepRecord(*(_PARSE[f.type](v) for f, v in zip(_COLUMNS, values))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row {row} {ln!r}: {exc}") from None
     return records
 
 
@@ -351,26 +341,14 @@ def emit_heatmap(result: SweepResult, path) -> None:
     means every trial recovered. The grid must be complete.
     """
     cfg = result.config
-    counts = {}
-    successes = {}
-    for rec in result.records:
-        key = (rec.n, _rho_index(cfg, rec.rho))
-        counts[key] = counts.get(key, 0) + 1
-        successes[key] = successes.get(key, 0) + (1 if rec.success else 0)
-    n_rows = sorted(set(cfg.n_list))
-    missing = []
-    for n in n_rows:
-        for rho_idx in range(len(cfg.rho_grid)):
-            if counts.get((n, rho_idx), 0) != cfg.trials:
-                missing.append((n, cfg.rho_grid[rho_idx]))
+    tally = result._tally()
+    width, height = len(cfg.rho_grid), len(cfg.n_list)
+    cells = [(n, rho_idx) for n in sorted(cfg.n_list) for rho_idx in range(width)]
+    missing = [(n, cfg.rho_grid[rho_idx]) for n, rho_idx in cells
+               if tally.get((n, rho_idx), (0, 0))[1] != cfg.trials]
     if missing:
         raise ValueError(f"incomplete grid, missing/partial cells: {missing}")
-    width = len(cfg.rho_grid)
-    height = len(n_rows)
-    pixels = bytearray()
-    for n in n_rows:
-        for rho_idx in range(width):
-            frac = successes[(n, rho_idx)] / cfg.trials
-            pixels.append(int(math.floor(255.0 * frac + 0.5)))
+    pixels = bytes(int(math.floor(255.0 * (hits / trials) + 0.5))
+                   for hits, trials in (tally[cell] for cell in cells))
     header = f"P5\n{width} {height}\n255\n".encode()
-    Path(path).write_bytes(header + bytes(pixels))
+    Path(path).write_bytes(header + pixels)

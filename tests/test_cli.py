@@ -199,13 +199,13 @@ def test_sweep_interrupt_flush_keeps_grid_order(tmp_path, monkeypatch):
 
     cfg_path = sweep_config_file(tmp_path, n_list=[20], rho_grid=[0.3, 0.1])
 
-    def interrupted(cfg, jobs=None, done=None, collector=None):
+    def interrupted(cfg, jobs=None, done=None):
         for rho, trial in ((0.1, 0), (0.3, 1), (0.3, 0)):  # completion order
-            collector.append(SweepRecord(
+            done[(20, cfg.rho_grid.index(rho), trial)] = SweepRecord(
                 n=20, rho=rho, r=1, C1=0.8, lam=0.2, trial=trial, seed=trial,
                 rel_err_L=0.0, success=True, iterations=1, converged=True,
                 runtime_ms=0.0,
-            ))
+            )
         raise KeyboardInterrupt
 
     monkeypatch.setattr(pcp.cli, "run_sweep", interrupted)
@@ -331,4 +331,79 @@ def test_sweep_rejected_resume_leaves_csv_untouched(tmp_path):
     argv = ["sweep", "--config", str(cfg_path), "--resume", str(existing),
             "--out-csv", str(existing)]
     assert pcp.cli.main(argv) == 1
+    assert (existing.read_bytes(), (tmp_path / "x.csv.json").read_bytes()) == before
+
+
+@pytest.mark.parametrize("argv, compute", [
+    pytest.param(["gen", "--n", "20", "--r", "1", "--rho", "0.1", "--out-l0", "l0.pcpm",
+                  "--out-s0", "s0.pcpm", "--out-d", "missing/d.pcpm"],
+                 "make_instance", id="gen"),
+    pytest.param(["solve", "--d", "d.pcpm", "--lambda", "classic", "--out-l", "L.pcpm",
+                  "--out-s", "missing/S.pcpm"],
+                 "pcp_solve", id="solve"),
+    pytest.param(["certify", "--l0", "d.pcpm", "--s0", "d.pcpm", "--lambda", "classic",
+                  "--report", "missing/cert.json"],
+                 "certify_instance", id="certify"),
+])
+def test_unwritable_output_fails_before_compute(tmp_path, monkeypatch, capsys, argv, compute):
+    """gen, solve and certify check every output path before any work and
+    write nothing when one cannot be written."""
+    import pcp.cli
+    from pcp.pcpm import save_matrix
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError(f"{compute} ran although an output cannot be written")
+
+    monkeypatch.setattr(pcp.cli, compute, no_compute)
+    monkeypatch.chdir(tmp_path)
+    save_matrix(np.eye(20), tmp_path / "d.pcpm")
+    before = sorted(tmp_path.rglob("*"))
+    assert pcp.cli.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_sweep_rejects_non_integer_pcp_jobs(tmp_path, monkeypatch, capsys):
+    import pcp.cli
+
+    monkeypatch.setenv("PCP_JOBS", "two")
+    csv = tmp_path / "out.csv"
+    argv = ["sweep", "--config", str(sweep_config_file(tmp_path)), "--out-csv", str(csv)]
+    assert pcp.cli.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: PCP_JOBS must be an integer >= 1, got 'two'"]
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param("20,0.1,1,0.8,0.2,0,1,0,true,3,1,0", id="success-true"),
+    pytest.param("20,0.1,1,0.8,0.2,0,1.5,0,1,3,1,0", id="seed-not-integer"),
+])
+def test_sweep_resume_rejects_malformed_row(tmp_path, monkeypatch, capsys, row):
+    """A --resume CSV row that does not parse exits 1 naming the file, before
+    any cell runs, and leaves the CSV and its sidecar untouched."""
+    import pcp.cli
+    import pcp.harness
+    from pcp.harness import SweepConfig, SweepResult, emit_csv, write_sidecar
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran although the resume CSV is malformed")
+
+    monkeypatch.setattr(pcp.harness, "make_instance", no_cell)
+    cfg_path = sweep_config_file(tmp_path)
+    existing = tmp_path / "x.csv"
+    empty = SweepResult(config=SweepConfig.from_dict(json.loads(cfg_path.read_text())),
+                        records=[])
+    emit_csv(empty, existing)
+    write_sidecar(empty, existing)
+    existing.write_text(existing.read_text() + row + "\n")
+    before = existing.read_bytes(), (tmp_path / "x.csv.json").read_bytes()
+
+    argv = ["sweep", "--config", str(cfg_path), "--resume", str(existing),
+            "--out-csv", str(existing)]
+    assert pcp.cli.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert str(existing) in lines[0]
     assert (existing.read_bytes(), (tmp_path / "x.csv.json").read_bytes()) == before

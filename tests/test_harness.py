@@ -115,6 +115,12 @@ def test_csv_rejects_bad_header(tmp_path):
         load_csv(p)
 
 
+def test_csv_header_is_pinned():
+    assert CSV_HEADER == (
+        "n,rho,r,C1,lambda,trial,seed,rel_err_L,success,iterations,converged,runtime_ms"
+    )
+
+
 def test_csv_formats_are_stable(tmp_path):
     rec = SweepRecord(
         n=100, rho=0.1, r=1, C1=0.8, lam=0.0123456789, trial=0, seed=12345,
