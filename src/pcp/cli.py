@@ -73,18 +73,32 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    j0 = _parse_j0(args.j0)
     _check_writable(args.report)
     L0 = pcpm.load_matrix(args.l0)
     S0 = pcpm.load_matrix(args.s0)
     n = L0.shape[0]
     lam = lambda_from_spec(getattr(args, "lambda"), n)
-    j0 = default_j0(n) if args.j0 == "auto" else int(args.j0)
-    report, _ = certify_instance(L0, S0, lam, j0=j0, seed=args.seed)
+    report, _ = certify_instance(L0, S0, lam, j0=default_j0(n) if j0 is None else j0,
+                                 seed=args.seed)
     payload = report.to_dict()
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload))
     return 0 if report.passed else 1
+
+
+def _parse_j0(text: str):
+    """``--j0``: None for 'auto' (sized from n once it is known), else an integer >= 1."""
+    if text == "auto":
+        return None
+    try:
+        j0 = int(text)
+    except ValueError:
+        j0 = 0
+    if j0 < 1:
+        raise ValueError(f"--j0 must be 'auto' or an integer >= 1, got {text!r}")
+    return j0
 
 
 def _check_writable(*paths) -> None:

@@ -48,8 +48,9 @@ class SvdResult(NamedTuple):
     singular_values: np.ndarray  # length k, nonincreasing, >= 0
     V: np.ndarray            # m x k, orthonormal columns
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.singular_values) @ self.V.T
+    def reconstruct(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """U diag(s) V^T, written into ``out`` when one is given."""
+        return np.matmul(self.U * self.singular_values, self.V.T, out=out)
 
 
 class MatrixNorms(NamedTuple):
@@ -87,14 +88,25 @@ def svd(M: np.ndarray) -> SvdResult:
 
 
 def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
-    """Entrywise shrinkage sgn(m) * max(|m| - tau, 0): prox of tau * ||.||_1."""
+    """Entrywise shrinkage sgn(m) * max(|m| - tau, 0): prox of tau * ||.||_1.
+
+    Built in one new array, copysign(max(|m| - tau, 0), m); M is not changed.
+    """
     M = ensure_matrix(M)
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
+    out = np.abs(M)
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    return np.copysign(out, M, out=out)
 
 
-def svt(M: np.ndarray, tau: float, rank_guess: Optional[int] = None) -> SvdResult:
+def svt(
+    M: np.ndarray,
+    tau: float,
+    rank_guess: Optional[int] = None,
+    start: Optional[np.ndarray] = None,
+) -> SvdResult:
     """Singular value thresholding: prox of tau * ||.||_*, as its kept triplets.
 
     Returns the singular triplets of M whose values exceed tau, each value
@@ -130,14 +142,29 @@ def svt(M: np.ndarray, tau: float, rank_guess: Optional[int] = None) -> SvdResul
     min(16, n // (2l)) power steps, and at once when all l Ritz values
     exceed tau (then at least l values do). The partial path is tried only
     when tau > 0 and l <= n / 10, n the smaller dimension.
+
+    ``start``, a block with as many rows as M has columns, warm-starts the
+    sketch: its columns (the first l, if it has more) replace the first
+    columns of the Gaussian start block, whose seeded columns pad it to l. A
+    start close to the top right singular vectors (those of the previous
+    iterate, in pcp_solve) needs fewer power steps. Correctness never rests
+    on it: gates (a)-(c) alone decide whether the sketch is accepted,
+    whatever the start, one with 0 columns included. The full path ignores
+    it.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     M = ensure_matrix(M)
+    if start is not None:
+        start = ensure_matrix(start, "start")
+        if start.shape[0] != M.shape[1]:
+            raise ValueError(
+                f"start must have {M.shape[1]} rows, one per column of M, got {start.shape[0]}"
+            )
     if rank_guess is not None:
         if rank_guess < 1:
             raise ValueError(f"rank_guess must be >= 1, got {rank_guess}")
-        top = _top_triplets(M, tau, rank_guess + _SVT_OVERSAMPLE)
+        top = _top_triplets(M, tau, rank_guess + _SVT_OVERSAMPLE, start)
         if top is not None:
             return top
     U, s, V = svd(M)
@@ -146,7 +173,9 @@ def svt(M: np.ndarray, tau: float, rank_guess: Optional[int] = None) -> SvdResul
     return SvdResult(U=U[:, :r].copy(), singular_values=s[:r] - tau, V=V[:, :r].copy())
 
 
-def _top_triplets(M: np.ndarray, tau: float, width: int) -> Optional[SvdResult]:
+def _top_triplets(
+    M: np.ndarray, tau: float, width: int, start: Optional[np.ndarray]
+) -> Optional[SvdResult]:
     """The partial path of svt: the kept shrunk triplets, or None to fall back."""
     rows, cols = M.shape
     n = min(rows, cols)
@@ -155,6 +184,9 @@ def _top_triplets(M: np.ndarray, tau: float, width: int) -> Optional[SvdResult]:
     rng = make_rng(mix_seed(_SVT_SEED_TAG, rows, cols, width))
     omega = normal_matrix(rng, cols, width, 1.0)
     probes = normal_matrix(rng, cols, _SVT_PROBES, 1.0)
+    if start is not None:
+        k = min(start.shape[1], width)
+        omega[:, :k] = start[:, :k]
     power_cap = min(16, n // (2 * width))
     Q = np.linalg.qr(M @ omega)[0]
     for _ in range(power_cap + 1):

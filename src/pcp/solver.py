@@ -14,16 +14,24 @@ grows the penalty:
 with Y0 = D / max(||D||_2, ||D||_inf / lambda) and mu0 = 1.25/||D||_2,
 stopping on the relative feasibility residual ||D - L - S||_F / ||D||_F.
 
+Each iteration forms Z = D + Y/mu once, in a buffer allocated before the
+loop. The L-step input Z - S goes to a scratch buffer, L is reconstructed
+into its own buffer, Z - L (the S-step input) overwrites Z, and the gap and
+the Y update reuse the scratch buffer, so an iteration allocates only S
+and what ``svt`` returns. D is only read.
+
 The L step predicts its rank from the previous iterate, as in the inexact
 ALM of Lin, Chen & Ma (arXiv 1009.5055): ``svt`` is given the guess
 k = rank(L) + 1 (k = 1 on the first iteration) and computes only the top
 singular triplets, with a sketch of k + 8 columns, when that is at most a
-tenth of n. The sketch is accepted only when it passes the exactness gate
-of ``linalg.svt``: its first discarded value is at most 1/mu, the kept
-triplets are exact to working precision, and seeded probes bound the rest
-of the spectrum by 1/mu. Otherwise that iteration uses the full SVD. The
-reported objective is the sum of the last L step's shrunk singular values,
-which is ||L||_*, plus lambda * ||S||_1.
+tenth of n. The sketch is warm-started: its first columns are the previous
+L step's kept right singular vectors, padded with seeded Gaussian columns
+(Halko, Martinsson & Tropp, arXiv 0909.4061). It is accepted only when it
+passes the exactness gate of ``linalg.svt``: its first discarded value is
+at most 1/mu, the kept triplets are exact to working precision, and seeded
+probes bound the rest of the spectrum by 1/mu. Otherwise that iteration
+uses the full SVD. The reported objective is the sum of the last L step's
+shrunk singular values, which is ||L||_*, plus lambda * ||S||_1.
 """
 
 import math
@@ -106,20 +114,32 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
     mu = cfg.mu0 if cfg.mu0 is not None else 1.25 / d_spec
     mu_max = cfg.mu_max_factor * mu
 
+    # Y is a fresh array; Z, L and work are the loop's buffers. None of
+    # them aliases D, which is only read.
     S = np.zeros_like(D)
+    L = np.empty_like(D)
+    Z = np.empty_like(D)
+    work = np.empty_like(D)
     rank = 0
+    start = None
     residual = 1.0
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        shrunk = svt(D - S + Y / mu, 1.0 / mu, rank_guess=rank + 1)
-        rank = shrunk.singular_values.size
-        L = shrunk.reconstruct()
-        S = soft_threshold(D - L + Y / mu, lam / mu)
-        gap = D - L - S
-        Y = Y + mu * gap
+        np.divide(Y, mu, out=Z)
+        Z += D                                    # Z = D + Y / mu
+        np.subtract(Z, S, out=work)
+        shrunk = svt(work, 1.0 / mu, rank_guess=rank + 1, start=start)
+        rank, start = shrunk.singular_values.size, shrunk.V
+        shrunk.reconstruct(out=L)
+        Z -= L
+        S = soft_threshold(Z, lam / mu)
+        np.subtract(D, L, out=work)
+        work -= S                                 # the gap D - L - S
+        residual = float(np.linalg.norm(work)) / d_fro
+        work *= mu
+        Y += work
         mu = min(cfg.rho_mu * mu, mu_max)
-        residual = float(np.linalg.norm(gap)) / d_fro
         if residual <= cfg.tol_feasibility:
             converged = True
             break

@@ -364,6 +364,23 @@ def test_unwritable_output_fails_before_compute(tmp_path, monkeypatch, capsys, a
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("j0", ["x", "2.5", "0"])
+def test_certify_rejects_bad_j0_before_loading(tmp_path, monkeypatch, capsys, j0):
+    """A --j0 other than 'auto' or an integer >= 1 exits 1 with one error
+    line naming --j0, before either matrix is read."""
+    import pcp.cli
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a matrix was loaded although --j0 is invalid")
+
+    monkeypatch.setattr(pcp.cli.pcpm, "load_matrix", no_load)
+    argv = ["certify", "--l0", str(tmp_path / "l0.pcpm"), "--s0", str(tmp_path / "s0.pcpm"),
+            "--lambda", "classic", "--j0", j0]
+    assert pcp.cli.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: --j0 must be 'auto' or an integer >= 1, got {j0!r}"]
+
+
 def test_sweep_rejects_non_integer_pcp_jobs(tmp_path, monkeypatch, capsys):
     import pcp.cli
 

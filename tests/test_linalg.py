@@ -93,15 +93,24 @@ def test_soft_threshold_rejects_negative_tau():
         soft_threshold(np.zeros((2, 2)), -0.1)
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    arrays(np.float64, (3, 4), elements=st.floats(-50, 50)),
-    st.floats(0, 10),
-)
-def test_soft_threshold_property(M, tau):
-    np.testing.assert_allclose(
-        soft_threshold(M, tau), scalar_soft_threshold(M, tau), atol=1e-12
-    )
+@st.composite
+def _matrix_and_threshold(draw):
+    """A threshold and a matrix whose entries include exact zeros and +-tau."""
+    tau = draw(st.floats(0, 10))
+    entry = st.one_of(st.floats(-50, 50), st.sampled_from([0.0, -0.0, tau, -tau]))
+    return draw(arrays(np.float64, (3, 4), elements=entry)), tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrix_and_threshold())
+def test_soft_threshold_property(case):
+    """Equal, entry for entry, to sgn(m) * max(|m| - tau, 0), and M unchanged."""
+    M, tau = case
+    before = M.copy()
+    got = soft_threshold(M, tau)
+    np.testing.assert_array_equal(got, np.sign(M) * np.maximum(np.abs(M) - tau, 0.0))
+    np.testing.assert_allclose(got, scalar_soft_threshold(M, tau), atol=1e-12)
+    assert M.tobytes() == before.tobytes()
 
 
 def test_prox_characterization_by_search_oracle():
@@ -167,14 +176,18 @@ def _count_full_svds(monkeypatch):
     return calls
 
 
-def _assert_matches_full_svt(got, M, tau):
-    """Kept values and prox within 1e-9 relative of a direct full SVD."""
+def _assert_matches_full_svt(got, M, tau, rtol=1e-9):
+    """Kept values and prox within rtol relative of a direct full SVD."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     kept = s[s > tau] - tau
     want = (U[:, : kept.size] * kept) @ Vt[: kept.size]
     assert got.singular_values.size == kept.size
-    np.testing.assert_allclose(got.singular_values, kept, rtol=1e-9, atol=1e-9 * s[0])
-    assert np.linalg.norm(got.reconstruct() - want) <= 1e-9 * np.linalg.norm(want)
+    np.testing.assert_allclose(got.singular_values, kept, rtol=rtol, atol=rtol * s[0])
+    assert np.linalg.norm(got.reconstruct() - want) <= rtol * np.linalg.norm(want)
+
+
+def _top_right_vectors(M, k):
+    return np.linalg.svd(M)[2][:k].T
 
 
 def test_partial_svt_low_rank_plus_noise_bulk(monkeypatch):
@@ -206,21 +219,75 @@ def test_partial_svt_zero_tau_or_small_n_takes_full_path(monkeypatch, n, tau):
     _assert_matches_full_svt(got, M, tau)
 
 
-@pytest.mark.parametrize("above, below", [(3, 50), (15, 15)])
-def test_partial_svt_cluster_at_tau_falls_back(monkeypatch, above, below):
+@pytest.mark.parametrize("above, below, start", [
+    pytest.param(3, 50, None, id="3-50"),
+    pytest.param(15, 15, None, id="15-15"),
+    pytest.param(3, 50, "top", id="3-50-top"),
+    pytest.param(15, 15, "top", id="15-15-top"),
+    pytest.param(3, 50, "random", id="3-50-random"),
+    pytest.param(15, 15, "random", id="15-15-random"),
+])
+def test_partial_svt_cluster_at_tau_falls_back(monkeypatch, above, below, start):
     """Values 0.1% above and below tau: the sketch cannot tell them apart.
 
     With (3, 50), the sketch's Ritz values all land below tau and its top
     triplet converges, so only the probe bound on the discarded part keeps
-    the partial path from dropping the three values above tau.
+    the partial path from dropping the three values above tau. A warm start
+    from the top singular vector (as pcp_solve would give after an L step
+    that kept one triplet) or from a random block falls back the same way.
     """
     n = 200
     values = np.concatenate([[5.0], np.full(above, 1.001), np.full(below, 0.999)])
     M = _planted(values, n, 24)
+    if start == "top":
+        start = _top_right_vectors(M, 1)
+    elif start == "random":
+        start = np.linalg.qr(np.random.default_rng(28).standard_normal((n, 2)))[0]
     calls = _count_full_svds(monkeypatch)
-    got = svt(M, 1.0, rank_guess=2)
+    got = svt(M, 1.0, rank_guess=2, start=start)
     assert calls == [(n, n)]
     _assert_matches_full_svt(got, M, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["top", "wide", "orthogonal"])
+def test_partial_svt_warm_start_gives_full_svd_triplets(monkeypatch, kind):
+    """A start spanning the top right singular vectors, or orthogonal to
+    them, changes the power steps, not the triplets. Of a start wider than
+    the sketch (20 columns for 3 + 8), the first columns are used."""
+    n = 200
+    M = _planted([10.0, 7.0, 4.0], n, 20)
+    M += 0.05 * np.random.default_rng(21).standard_normal((n, n)) / np.sqrt(n)
+    top = _top_right_vectors(M, 3)
+    if kind == "top":
+        start = top
+    elif kind == "wide":
+        start = _top_right_vectors(M, 20)
+    else:
+        block = np.random.default_rng(27).standard_normal((n, 3))
+        start = np.linalg.qr(block - top @ (top.T @ block))[0]
+        assert np.abs(top.T @ start).max() <= 1e-12
+    calls = _count_full_svds(monkeypatch)
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda A: qr_calls.append(1) or qr(A))
+    got = svt(M, 1.0, rank_guess=3, start=start)
+    assert calls == []
+    _assert_matches_full_svt(got, M, 1.0, rtol=1e-10)
+    if kind != "orthogonal":
+        assert len(qr_calls) == 1  # accepted before any power step
+
+
+def test_partial_svt_empty_start_gives_full_svd_triplets(monkeypatch):
+    """A start with 0 columns (a previous L step that kept nothing) is the
+    plain Gaussian sketch."""
+    n = 200
+    M = _planted([6.0, 3.0], n, 25) + 1e-3 * _rand(n, n, 26)
+    calls = _count_full_svds(monkeypatch)
+    got = svt(M, 0.5, rank_guess=1, start=np.empty((n, 0)))
+    assert calls == []
+    _assert_matches_full_svt(got, M, 0.5, rtol=1e-10)
+    for x, y in zip(got, svt(M, 0.5, rank_guess=1)):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_partial_svt_repeats_bitwise(monkeypatch):
@@ -236,6 +303,13 @@ def test_partial_svt_repeats_bitwise(monkeypatch):
 def test_svt_rejects_bad_rank_guess():
     with pytest.raises(ValueError):
         svt(np.eye(3), 0.5, rank_guess=0)
+
+
+@pytest.mark.parametrize("rank_guess", [None, 1])
+def test_svt_rejects_start_with_wrong_row_count(rank_guess):
+    M = _rand(200, 150, 29)
+    with pytest.raises(ValueError, match="start must have 150 rows"):
+        svt(M, 0.5, rank_guess=rank_guess, start=np.ones((200, 2)))
 
 
 # -------------------------------------------------------- spectral_norm

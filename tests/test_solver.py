@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pcp.linalg import norms, svd
+import pcp.solver
+from pcp.linalg import norms, soft_threshold, svd, svt
 from pcp.problems import generate_low_rank, lambda_classic, make_instance
 from pcp.solver import SolveResult, SolverConfig, pca_baseline, pcp_solve, recovery_success
 from oracles import dr_solve
@@ -116,6 +117,71 @@ def test_solver_input_validation():
                 dict(mu0=0.0), dict(mu_max_factor=float("inf"))):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+
+def _spy_prox_calls(monkeypatch):
+    """Record every svt call (its start and result) and soft_threshold call
+    the solver makes through its module namespace."""
+    svt_calls, shrink_calls = [], []
+
+    def spy_svt(M, tau, rank_guess=None, start=None):
+        result = svt(M, tau, rank_guess=rank_guess, start=start)
+        svt_calls.append((start, result))
+        return result
+
+    def spy_soft_threshold(M, tau):
+        shrink_calls.append(tau)
+        return soft_threshold(M, tau)
+
+    monkeypatch.setattr(pcp.solver, "svt", spy_svt)
+    monkeypatch.setattr(pcp.solver, "soft_threshold", spy_soft_threshold)
+    return svt_calls, shrink_calls
+
+
+def test_one_prox_each_per_iteration_warm_started(monkeypatch):
+    """One svt and one soft_threshold call per iteration (the benchmark's
+    per-layer spans count them), and each svt after the first starts its
+    sketch from the previous L step's kept right singular vectors."""
+    svt_calls, shrink_calls = _spy_prox_calls(monkeypatch)
+    inst = make_instance(200, 2, 0.1, 9)
+    res = pcp_solve(inst.D, lambda_classic(200))
+    assert res.converged
+    assert len(svt_calls) == len(shrink_calls) == res.iterations
+    assert svt_calls[0][0] is None
+    for (_, previous), (start, _) in zip(svt_calls, svt_calls[1:]):
+        assert start is previous.V
+
+
+def test_first_l_step_keeping_nothing_starts_next_sketch_empty(monkeypatch):
+    """A spike that dominates ||D||_inf / lambda and a small mu0: the first
+    L step keeps no triplet, so the next sketch starts from 0 columns."""
+    n = 100
+    L0 = generate_low_rank(n, 1, 3)
+    D = L0.copy()
+    D[5, 17] += 100 * np.abs(L0).max()
+    svt_calls, _ = _spy_prox_calls(monkeypatch)
+    res = pcp_solve(D, lambda_classic(n), SolverConfig(mu0=0.5 / np.linalg.norm(D, 2)))
+    assert svt_calls[0][1].singular_values.size == 0
+    assert svt_calls[1][0].shape == (n, 0)
+    assert res.converged
+    assert recovery_success(L0, res.L_hat)
+
+
+def test_input_is_only_read():
+    """pcp_solve leaves D byte-identical, accepts a read-only D, and returns
+    arrays that do not share memory with it."""
+    inst = make_instance(100, 2, 0.1, 5)
+    lam = lambda_classic(100)
+    writable = pcp_solve(inst.D.copy(), lam)
+    D = inst.D.copy()
+    D.setflags(write=False)
+    before = D.tobytes()
+    res = pcp_solve(D, lam)
+    assert D.tobytes() == before
+    assert res.converged
+    assert not np.shares_memory(res.L_hat, D) and not np.shares_memory(res.S_hat, D)
+    np.testing.assert_array_equal(res.L_hat, writable.L_hat)
+    np.testing.assert_array_equal(res.S_hat, writable.S_hat)
 
 
 # ----------------------------------------------------------- pca_baseline
