@@ -5,9 +5,7 @@ sign, with dual-certificate verification and phase-transition experiments.
 
 from .linalg import (
     ConvergenceError,
-    MatrixNorms,
     SvdResult,
-    norms,
     soft_threshold,
     spectral_norm,
     svd,

@@ -73,18 +73,26 @@ class TangentSubspace:
 
         r=None detects the numerical rank (singular values above
         1e-8 * sigma_1); passing r checks sigma_{r+1} against the same cutoff.
+        The factors come from problems.low_rank_factors: a partial sketch
+        whose rank is gate-proven (wrong with probability at most 1.7e-7),
+        with the exact full SVD as fallback.
         """
         U, V = low_rank_factors(ensure_matrix(L, "L"), r)
         return cls(U=U, V=V)
 
 
 def project_tangent(M: np.ndarray, T: TangentSubspace) -> np.ndarray:
-    """Orthogonal projection U U^T M + M V V^T - U U^T M V V^T onto T."""
+    """Orthogonal projection U U^T M + M V V^T - U U^T M V V^T onto T.
+
+    Formed as one rank-2r product [U, (I - U U^T) M V] [U^T M; V^T], so the
+    only n x n array written is the result.
+    """
     if T.r == 0:
         return np.zeros_like(np.asarray(M, dtype=float))
-    UtM = T.U.T @ M
-    MV = M @ T.V
-    return T.U @ UtM + (MV - T.U @ (UtM @ T.V)) @ T.V.T
+    U, V = T.U, T.V
+    UtM = U.T @ M
+    MV = M @ V
+    return np.hstack([U, MV - U @ (UtM @ V)]) @ np.vstack([UtM, V.T])
 
 
 def project_tangent_complement(M: np.ndarray, T: TangentSubspace) -> np.ndarray:
@@ -147,7 +155,8 @@ def opnorm_support_tangent(
 
     def matvec(z):
         X, Y = z[: n * r].reshape(n, r), z[n * r :].reshape(n, r)
-        Z = project_support(U @ X.T + perp(Y) @ V.T, omega)
+        # C(X, Y) = U X^T + perp(Y) V^T as one rank-2r product
+        Z = project_support(np.hstack([U, perp(Y)]) @ np.hstack([X, V]).T, omega)
         return np.concatenate([(Z.T @ U).ravel(), perp(Z @ V).ravel()])
 
     rng = make_rng(mix_seed(_OPNORM_SEED_TAG, n, r, omega.count))
@@ -435,6 +444,10 @@ def partition_support_complement(omega: SupportSet, j0: int, seed: int) -> Suppo
     probability q, conditioned on joining at least one, which reproduces the
     law of batches sampled Bernoulli(q) given their union. q is
     1 - (|Omega|/n^2)^(1/j0), matching the empirical density.
+
+    The entries still in no batch are redrawn in rounds: each round draws,
+    for batch 1..j0 in turn, one uniform per pending entry in row-major
+    order, so the batches are fixed by (mask, j0, seed).
     """
     if j0 < 1:
         raise ValueError(f"j0 must be >= 1, got {j0}")
@@ -448,18 +461,17 @@ def partition_support_complement(omega: SupportSet, j0: int, seed: int) -> Suppo
         raise ValueError(f"q must lie in (0, 1], got {q}")
     rng = make_rng(seed)
     batches = [np.zeros((n, n), dtype=bool) for _ in range(j0)]
-    pending = ~omega.mask
-    # redraw memberships for entries that landed in no batch: conditioning
-    # Ber(q)^j0 on at least one success
-    while pending.any():
-        rows, cols = np.nonzero(pending)
-        hit_any = np.zeros(rows.size, dtype=bool)
-        for b in batches:
-            draw = rng.random(rows.size) < q
-            b[rows[draw], cols[draw]] = True
+    flat_batches = [b.reshape(-1) for b in batches]
+    # flat (row-major) indices of the entries still in no batch, redrawn
+    # until each joins one: conditioning Ber(q)^j0 on at least one success
+    pending = np.flatnonzero(~omega.mask)
+    while pending.size:
+        hit_any = np.zeros(pending.size, dtype=bool)
+        for b in flat_batches:
+            draw = rng.random(pending.size) < q
+            b[pending[draw]] = True
             hit_any |= draw
-        pending = np.zeros_like(pending)
-        pending[rows[~hit_any], cols[~hit_any]] = True
+        pending = pending[~hit_any]
     return SupportSet(mask=omega.mask.copy(), partition=batches, q=q)
 
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra primitives: SVD, proximal operators, norms.
+"""Dense linear-algebra primitives: SVD, proximal operators, spectral norm.
 
 Everything operates on plain 2-D float64 numpy arrays. All functions are
 pure; none keeps internal state, so concurrent use is safe.
@@ -51,13 +51,6 @@ class SvdResult(NamedTuple):
     def reconstruct(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """U diag(s) V^T, written into ``out`` when one is given."""
         return np.matmul(self.U * self.singular_values, self.V.T, out=out)
-
-
-class MatrixNorms(NamedTuple):
-    frobenius: float
-    one_norm: float   # entrywise: sum of |m_ij|
-    inf_norm: float   # entrywise: max of |m_ij|
-    nuclear: float    # sum of singular values
 
 
 def ensure_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -342,17 +335,3 @@ def spectral_norm(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
         return 0.0
     rng = make_rng(mix_seed(_LANCZOS_SEED_TAG, n, m))
     return sqrt_top_eigenvalue(lambda v: M.T @ (M @ v), rng.random(m) - 0.5, tol)
-
-
-def norms(M: np.ndarray) -> MatrixNorms:
-    """Frobenius, entrywise 1-norm, entrywise max-norm, nuclear norm."""
-    M = ensure_matrix(M)
-    if M.size == 0:
-        return MatrixNorms(0.0, 0.0, 0.0, 0.0)
-    s = np.linalg.svd(M, compute_uv=False)
-    return MatrixNorms(
-        frobenius=float(np.linalg.norm(M)),
-        one_norm=float(np.abs(M).sum()),
-        inf_norm=float(np.abs(M).max()),
-        nuclear=float(s.sum()),
-    )

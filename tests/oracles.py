@@ -87,3 +87,28 @@ def dr_solve(D, lam, step=None, max_iters=500_000, tol=1e-13):
     L = prox_nuclear(Z)
     S = D - L
     return L, S, pcp_objective(L, S, lam), iters
+
+
+def partition_by_2d_index(mask, q, j0, seed):
+    """Golfing batches of the support complement, drawn round by round with
+    2-D (row, col) indexing and a fresh pending mask per round.
+
+    Each round draws, for batch 1..j0 in turn, one uniform per pending entry
+    in row-major order; entries that joined no batch are redrawn next round.
+    """
+    from pcp.rng import make_rng
+
+    n = mask.shape[0]
+    rng = make_rng(seed)
+    batches = [np.zeros((n, n), dtype=bool) for _ in range(j0)]
+    pending = ~mask
+    while pending.any():
+        rows, cols = np.nonzero(pending)
+        hit_any = np.zeros(rows.size, dtype=bool)
+        for b in batches:
+            draw = rng.random(rows.size) < q
+            b[rows[draw], cols[draw]] = True
+            hit_any |= draw
+        pending = np.zeros_like(pending)
+        pending[rows[~hit_any], cols[~hit_any]] = True
+    return batches

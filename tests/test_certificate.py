@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pcp.certificate
 from pcp.certificate import (
     TangentSubspace,
     certify_instance,
@@ -28,6 +29,7 @@ from pcp.problems import (
 )
 from pcp.rng import mix_seed
 from pcp.solver import pcp_solve, recovery_success
+from oracles import partition_by_2d_index
 
 
 def _subspace(n, r, seed):
@@ -56,6 +58,15 @@ def test_project_tangent_fixes_members():
     np.testing.assert_allclose(project_tangent(M, T), M, atol=1e-10)
     M2 = np.random.default_rng(2).standard_normal((20, 3)) @ T.V.T
     np.testing.assert_allclose(project_tangent(M2, T), M2, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, r, seed", [(20, 1, 20), (60, 3, 21), (150, 5, 22)])
+def test_project_tangent_matches_three_term_formula(n, r, seed):
+    T = _subspace(n, r, seed)
+    M = np.random.default_rng(seed + 1).standard_normal((n, n))
+    UU, VV = T.U @ T.U.T, T.V @ T.V.T
+    three_term = UU @ M + M @ VV - UU @ M @ VV
+    assert np.abs(project_tangent(M, T) - three_term).max() <= 1e-13 * np.linalg.norm(M)
 
 
 def test_project_tangent_rank_zero():
@@ -153,6 +164,33 @@ def test_opnorm_matches_brute_force():
     brute = np.sqrt(max(np.linalg.eigvalsh(0.5 * (A + A.T)).max(), 0.0))
     power = opnorm_support_tangent(omega, T, tol=1e-10)
     assert abs(brute - power) <= 1e-8
+
+
+def test_opnorm_applies_project_support_once_per_step(monkeypatch):
+    """Every Lanczos matvec goes through the module's project_support once."""
+    support_calls, per_step = [], []
+    original_support = pcp.certificate.project_support
+    original_sqrt_top = pcp.certificate.sqrt_top_eigenvalue
+
+    def counting_support(M, omega):
+        support_calls.append(1)
+        return original_support(M, omega)
+
+    def counting_sqrt_top(matvec, v0, tol):
+        def stepped(z):
+            before = len(support_calls)
+            out = matvec(z)
+            per_step.append(len(support_calls) - before)
+            return out
+
+        return original_sqrt_top(stepped, v0, tol)
+
+    monkeypatch.setattr(pcp.certificate, "project_support", counting_support)
+    monkeypatch.setattr(pcp.certificate, "sqrt_top_eigenvalue", counting_sqrt_top)
+    opnorm_support_tangent(_random_omega(40, 0.3, 19), _subspace(40, 3, 20))
+    assert len(per_step) > 1
+    assert per_step == [1] * len(per_step)
+    assert len(support_calls) == len(per_step)
 
 
 def test_opnorm_never_exceeds_one():
@@ -414,6 +452,76 @@ def test_partition_complement_covers_exactly():
         assert not (batch & omega.mask).any()  # batches avoid the support
     np.testing.assert_array_equal(union, ~omega.mask)
     np.testing.assert_array_equal(part.mask, omega.mask)
+
+
+@pytest.mark.parametrize("n, support, j0, seed", [
+    (25, 0.4, 5, 41),
+    (60, 0.1, 12, 7),
+    (33, 0.7, 3, 2024),
+    (50, 0.3, 1, 0),
+    (20, "empty", 4, 5),
+    (20, "all but one", 6, 6),
+])
+def test_partition_matches_2d_index_reference(n, support, j0, seed):
+    """The batches are byte-identical to a round-by-round 2-D-index draw."""
+    if support == "empty":
+        omega = _empty_omega(n)
+    elif support == "all but one":
+        mask = np.ones((n, n), dtype=bool)
+        mask[n // 2, n // 3] = False
+        omega = SupportSet(mask=mask)
+    else:
+        omega = _random_omega(n, support, seed + 1)
+    part = partition_support_complement(omega, j0, seed)
+    reference = partition_by_2d_index(omega.mask, part.q, j0, seed)
+    assert len(part.partition) == j0
+    for batch, expected in zip(part.partition, reference):
+        assert batch.dtype == bool and batch.shape == (n, n)
+        assert batch.tobytes() == expected.tobytes()
+
+
+def test_partition_of_a_full_support_is_refused():
+    with pytest.raises(ValueError, match="q must lie"):
+        partition_support_complement(_full_omega(10), 3, 0)
+
+
+def _flat_report(payload, prefix=""):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _flat_report(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+def test_certify_instance_ignores_singular_vector_signs(monkeypatch):
+    """Flipping the signs of paired singular vectors (u_i, v_i) leaves T,
+    and so every verdict and value of the certificate, unchanged."""
+    n, r, rho = 120, 3, 0.2
+    lam = lambda_dense(n, rho, 0.8)
+    L0 = generate_low_rank(n, r, 46)
+    _, omega = generate_sign_corruption(n, rho, "exact", 47)
+    S0 = random_signs_on(omega, 48)
+    base, W = certify_instance(L0, S0, lam, seed=9)
+
+    original = pcp.certificate.low_rank_factors
+    signs = np.array([-1.0, 1.0, -1.0])
+
+    def flipped(L, r=None):
+        U, V = original(L, r)
+        return U * signs, V * signs
+
+    monkeypatch.setattr(pcp.certificate, "low_rank_factors", flipped)
+    other, W_flipped = certify_instance(L0, S0, lam, seed=9)
+    a, b = dict(_flat_report(base.to_dict())), dict(_flat_report(other.to_dict()))
+    assert list(a) == list(b)
+    for key, value in a.items():
+        if isinstance(value, bool):
+            assert b[key] == value, key
+        elif key == "pt_w_norm":
+            assert b[key] <= 1e-8 * np.linalg.norm(W_flipped)
+        else:
+            assert abs(b[key] - value) <= 1e-10 * abs(value), key
+    assert np.abs(W_flipped - W).max() <= 1e-10 * np.abs(W).max()
 
 
 def test_certify_instance_end_to_end():

@@ -9,7 +9,6 @@ from pcp.linalg import (
     ConvergenceError,
     ensure_matrix,
     lanczos_top_eigenvalue,
-    norms,
     soft_threshold,
     spectral_norm,
     svd,
@@ -425,36 +424,6 @@ def test_lanczos_rejects_bad_arguments():
 def test_convergence_error_carries_estimate():
     err = ConvergenceError("cap", estimate=1.25)
     assert err.estimate == 1.25
-
-
-# ---------------------------------------------------------------- norms
-
-def test_norms_example():
-    res = norms(np.array([[1.0, -2.0], [0.0, 2.0]]))
-    assert res.one_norm == 5.0
-    assert res.inf_norm == 2.0
-    assert res.frobenius == 3.0
-
-
-def test_norms_identity_nuclear():
-    for n in (2, 5, 9):
-        assert abs(norms(np.eye(n)).nuclear - n) <= 1e-12
-
-
-def test_norms_nuclear_matches_svd_sum():
-    M = _rand(10, 10, 9)
-    assert abs(norms(M).nuclear - svd(M).singular_values.sum()) <= 1e-10
-
-
-@settings(max_examples=40, deadline=None)
-@given(arrays(np.float64, (4, 4), elements=st.floats(-10, 10)))
-def test_norm_ordering_property(M):
-    """Spectral <= Frobenius <= nuclear for every matrix."""
-    res = norms(M)
-    s = svd(M).singular_values
-    top = s[0] if s.size else 0.0
-    assert top <= res.frobenius + 1e-9
-    assert res.frobenius <= res.nuclear + 1e-9
 
 
 def test_ensure_matrix_rejects_bad_shapes():

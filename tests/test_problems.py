@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pcp.linalg
 from pcp.problems import (
     SupportSet,
     generate_low_rank,
@@ -11,6 +12,7 @@ from pcp.problems import (
     lambda_classic,
     lambda_dense,
     lambda_from_spec,
+    low_rank_factors,
     make_instance,
     random_signs_on,
     rank_bound_ok,
@@ -199,6 +201,83 @@ def test_incoherence_rejects_rank_overflow():
     L = generate_low_rank(30, 3, 0)
     with pytest.raises(ValueError, match="numerical rank"):
         incoherence_mu(L, 2)
+
+
+def _mu_by_full_svd(L, r):
+    n = L.shape[0]
+    U, _, Vt = np.linalg.svd(L)
+    U, V = U[:, :r], Vt[:r].T
+    return (
+        (n / r) * (U * U).sum(axis=1).max(),
+        (n / r) * (V * V).sum(axis=1).max(),
+        (n * n / r) * np.abs(U @ V.T).max() ** 2,
+    )
+
+
+@pytest.mark.parametrize("n, r, seed", [(60, 1, 0), (60, 2, 3), (120, 3, 5), (200, 4, 8)])
+def test_incoherence_matches_full_svd(n, r, seed):
+    L = generate_low_rank(n, r, seed)
+    res = incoherence_mu(L, r)
+    for got, expected in zip(res[:3], _mu_by_full_svd(L, r)):
+        assert abs(got - expected) <= 1e-12 * expected
+
+
+# ------------------------------------------------------- low_rank_factors
+
+def _assert_same_subspaces(U, V, L, r):
+    Uf, _, Vt = np.linalg.svd(L)
+    Uf, Vf = Uf[:, :r], Vt[:r].T
+    assert U.shape == V.shape == (L.shape[0], r)
+    np.testing.assert_allclose(U @ U.T, Uf @ Uf.T, atol=1e-12)
+    np.testing.assert_allclose(V @ V.T, Vf @ Vf.T, atol=1e-12)
+    np.testing.assert_allclose(U.T @ U, np.eye(r), atol=1e-12)
+    np.testing.assert_allclose(V.T @ V, np.eye(r), atol=1e-12)
+
+
+def test_low_rank_factors_partial_path_needs_no_full_svd(monkeypatch):
+    L = generate_low_rank(200, 3, 11)
+
+    def no_full_svd(M):
+        raise AssertionError("full SVD called")
+
+    monkeypatch.setattr(pcp.linalg, "svd", no_full_svd)
+    for r in (3, None):
+        U, V = low_rank_factors(L, r)
+        monkeypatch.undo()
+        _assert_same_subspaces(U, V, L, 3)
+        monkeypatch.setattr(pcp.linalg, "svd", no_full_svd)
+    with pytest.raises(ValueError, match=r"numerical rank 3 exceeds r=2 \(sigma_3/sigma_1 = "):
+        low_rank_factors(L, 2)
+
+
+def test_low_rank_factors_fall_back_past_the_sketch(monkeypatch):
+    """Rank 12 exceeds the r=None sketch (rank guess 2, 10 columns): every
+    Ritz value is above the cutoff, so the full SVD decides."""
+    L = generate_low_rank(200, 12, 12)
+    full_svds = []
+    original = pcp.linalg.svd
+    monkeypatch.setattr(pcp.linalg, "svd", lambda M: full_svds.append(1) or original(M))
+    U, V = low_rank_factors(L)
+    assert full_svds
+    _assert_same_subspaces(U, V, L, 12)
+
+
+def test_low_rank_factors_of_zero_matrix():
+    U, V = low_rank_factors(np.zeros((15, 15)))
+    assert U.shape == V.shape == (15, 0)
+
+
+def test_low_rank_factors_keep_r_columns_below_the_rank():
+    """A given r above the numerical rank still yields r orthonormal
+    columns, those of the full SVD."""
+    L = generate_low_rank(40, 1, 13)
+    U, V = low_rank_factors(L, 3)
+    Uf, _, Vt = np.linalg.svd(L)
+    np.testing.assert_allclose(U, Uf[:, :3], atol=1e-12)
+    np.testing.assert_allclose(V, Vt[:3].T, atol=1e-12)
+    U, V = low_rank_factors(np.zeros((15, 15)), 2)
+    np.testing.assert_array_equal(U, np.eye(15)[:, :2])
+    np.testing.assert_array_equal(V, np.eye(15)[:, :2])
 
 
 # -------------------------------------------------- lambda / rank bound
