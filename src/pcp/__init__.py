@@ -13,21 +13,18 @@ from .linalg import (
 )
 from .pcpm import load_matrix, save_matrix
 from .problems import (
-    IncoherenceResult,
     ProblemInstance,
     SupportSet,
     generate_low_rank,
     generate_sign_corruption,
-    incoherence_mu,
     lambda_classic,
     lambda_dense,
     lambda_from_spec,
     make_instance,
     random_signs_on,
-    rank_bound_ok,
     sample_golfing_partition,
 )
-from .solver import SolveResult, SolverConfig, pca_baseline, pcp_solve, recovery_success
+from .solver import SolveResult, SolverConfig, pca_baseline, pcp_solve
 from .certificate import (
     CertificateReport,
     GolfingBounds,

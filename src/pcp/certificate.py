@@ -115,14 +115,17 @@ def _support_norms(M: np.ndarray, omega: SupportSet) -> tuple:
     return on, float(np.abs(off).max()) if off.size else 0.0
 
 
+def _check_shape(name: str, M: np.ndarray, omega: SupportSet) -> None:
+    if M.shape != omega.mask.shape:
+        raise ValueError(
+            f"{name} shape {M.shape} does not match the support shape {omega.mask.shape}"
+        )
+
+
 def _check_on_support(E: np.ndarray, omega: SupportSet) -> None:
+    _check_shape("E", E, omega)
     if np.any(E[~omega.mask]):
         raise ValueError("E has entries outside the support set")
-
-
-def _resolve_sigma(omega: SupportSet, T: TangentSubspace, given: Optional[float]) -> float:
-    """A precomputed ||P_Omega P_T|| if given, else its Lanczos estimate."""
-    return given if given is not None else opnorm_support_tangent(omega, T)
 
 
 def opnorm_support_tangent(
@@ -172,7 +175,10 @@ def golfing_component(omega: SupportSet, T: TangentSubspace) -> tuple:
     j = 0..j0. The trace exposes the per-step residual decay.
     """
     if omega.partition is None or omega.q is None:
-        raise ValueError("omega must carry a golfing partition (see sample_golfing_partition)")
+        raise ValueError(
+            "omega must carry a golfing partition "
+            "(see sample_golfing_partition or partition_support_complement)"
+        )
     UV = T.uv()
     Y = np.zeros_like(UV)
     residual = project_tangent(UV, T)  # equals UV
@@ -191,7 +197,8 @@ def neumann_component(
     E: np.ndarray,
     lam: float,
     tol: float = 1e-10,
-    support_tangent_norm: Optional[float] = None,
+    *,
+    support_tangent_norm: float,
 ) -> np.ndarray:
     """Least-squares certificate part via the Neumann operator series.
 
@@ -202,10 +209,10 @@ def neumann_component(
     P_T W = 0 up to round-off (a final explicit complement projection) and
     matches lambda * E on the support up to the truncated geometric tail.
 
-    E must be supported on Omega with entries in {-1, 0, +1}. The series
-    requires ||P_Omega P_T|| < 1; values within 1e-6 of 1 are refused as
-    divergent. ``support_tangent_norm`` may pass a precomputed norm to skip
-    the internal Lanczos estimate.
+    E must be supported on Omega with entries in {-1, 0, +1}.
+    ``support_tangent_norm`` is sigma = ||P_Omega P_T||, the caller's one
+    opnorm_support_tangent value. The series requires sigma < 1; values
+    within 1e-6 of 1 are refused as divergent.
     """
     E = ensure_matrix(E, "E")
     if lam <= 0:
@@ -216,10 +223,10 @@ def neumann_component(
     if not np.all(np.isin(E[omega.mask], (-1.0, 0.0, 1.0))):
         raise ValueError("E entries must be -1, 0, or +1")
 
-    sigma = _resolve_sigma(omega, T, support_tangent_norm)
-    if sigma >= 1.0 - 1e-6:
+    if support_tangent_norm >= 1.0 - 1e-6:
         raise ValueError(
-            f"||P_Omega P_T|| = {sigma:.8f} is too close to 1; Neumann series diverges"
+            f"||P_Omega P_T|| = {support_tangent_norm:.8f} is too close to 1; "
+            "Neumann series diverges"
         )
 
     term = E.copy()
@@ -249,10 +256,6 @@ class GolfingBounds:
     b_ok: bool
     c_ok: bool
 
-    @property
-    def all_ok(self) -> bool:
-        return self.a_ok and self.b_ok and self.c_ok
-
 
 @dataclass
 class SignBounds:
@@ -266,10 +269,6 @@ class SignBounds:
     b_ok: bool
     e_norm_ok: bool
     tail_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.a_ok and self.b_ok and self.e_norm_ok and self.tail_ok
 
 
 # JSON keys that differ from the report's field names, by dotted field path
@@ -325,29 +324,31 @@ def verify_certificate(
     omega: SupportSet,
     E: np.ndarray,
     lam: float,
-    eps: Optional[float] = None,
-    support_tangent_norm: Optional[float] = None,
+    *,
+    support_tangent_norm: float,
 ) -> CertificateReport:
     """Evaluate the four certificate conditions and the two hypotheses.
 
     ``passed`` reflects the four conditions only (tangent annihilation is
     tested as ||P_T W||_F <= 1e-8 * ||W||_F; alpha is ALPHA); the hypothesis
     flags lambda < 1 - alpha and ||P_Omega P_T|| <= 1 - eps are reported
-    separately. eps defaults to 1 - ||P_Omega P_T|| measured on the
-    instance, the loosest admissible choice. E, the corruption sign matrix,
-    must be supported on Omega.
+    separately. ``support_tangent_norm`` is sigma = ||P_Omega P_T||, the
+    caller's one opnorm_support_tangent value, and eps is 1 - sigma, the
+    loosest admissible choice, so the second flag holds by construction.
+    W and E must have the support's shape, and E, the corruption sign
+    matrix, must be supported on Omega.
     """
     W = ensure_matrix(W, "W")
     E = ensure_matrix(E, "E")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
+    _check_shape("W", W, omega)
     _check_on_support(E, omega)
 
-    sigma = _resolve_sigma(omega, T, support_tangent_norm)
-    if eps is None:
-        eps = 1.0 - sigma
+    sigma = support_tangent_norm
+    eps = 1.0 - sigma
     if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        raise ValueError(f"eps = 1 - ||P_Omega P_T|| must lie in (0, 1], got {eps}")
 
     w_fro = float(np.linalg.norm(W))
     pt_w_norm = float(np.linalg.norm(project_tangent(W, T)))
@@ -383,16 +384,19 @@ def check_golfing_bounds(
     T: TangentSubspace,
     omega: SupportSet,
     lam: float,
-    support_tangent_norm: Optional[float] = None,
+    *,
+    support_tangent_norm: float,
 ) -> GolfingBounds:
     """Bound checks on the golfing part: spectral norm below 1/10, support
     residual below lambda*(1-sigma)^2, off-support entries below lambda/4.
 
-    sigma is the measured ||P_Omega P_T|| (not an assumed concentration
-    value), so the checks certify the instance at hand.
+    ``support_tangent_norm`` is sigma, the caller's one
+    opnorm_support_tangent value: the measured ||P_Omega P_T||, not an
+    assumed concentration value, so the checks certify the instance at hand.
     """
     W_L = ensure_matrix(W_L, "W_L")
-    sigma = _resolve_sigma(omega, T, support_tangent_norm)
+    _check_shape("W_L", W_L, omega)
+    sigma = support_tangent_norm
     w_spec = spectral_norm(W_L)
     support_residual, off_inf = _support_norms(T.uv() + W_L, omega)
     return GolfingBounds(
@@ -407,8 +411,6 @@ def check_sign_bounds(
     omega: SupportSet,
     E: np.ndarray,
     lam: float,
-    n: int,
-    rho: float,
     T: TangentSubspace,
 ) -> SignBounds:
     """Bound checks on the sign part and its ingredients.
@@ -416,13 +418,16 @@ def check_sign_bounds(
     Checks ||W_S|| < 8/10 and off-support entries below lambda/4, plus the
     two norm bounds feeding them: ||E|| <= 4*sqrt(n*rho) for the sign matrix
     and ||W_S/lambda - P_Tperp E|| <= (9/4)*sqrt(rho*n/(1-rho)) for the
-    series tail beyond its leading term. W_S must come from
-    neumann_component for the tail identity to hold.
+    series tail beyond its leading term. n and the density rho = |Omega|/n^2
+    are read off omega. W_S must come from neumann_component for the tail
+    identity to hold.
     """
     W_S = ensure_matrix(W_S, "W_S")
     E = ensure_matrix(E, "E")
-    if W_S.shape != (n, n):
-        raise ValueError(f"W_S shape {W_S.shape} does not match n={n}")
+    _check_shape("W_S", W_S, omega)
+    _check_shape("E", E, omega)
+    n = omega.n
+    rho = omega.count / float(n * n)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly in (0, 1), got {rho}")
     w_spec = spectral_norm(W_S)
@@ -518,5 +523,5 @@ def certify_instance(
         W_L, T, omega_part, lam, support_tangent_norm=sigma
     )
     if 0.0 < rho < 1.0:
-        report.ws_checks = check_sign_bounds(W_S, omega_part, E, lam, n, rho, T)
+        report.ws_checks = check_sign_bounds(W_S, omega_part, E, lam, T)
     return report, W

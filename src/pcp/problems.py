@@ -3,17 +3,19 @@
 Ground truth follows the standard random model: L0 is a product of two
 n x r Gaussian factors with entry variance 100/n, S0 carries +/-1 signs on a
 random support of density rho (Bernoulli or exact-count), and D = L0 + S0.
-Also provides the incoherence measurement of the low-rank factor and the
-weighting parameters for the pursuit program.
+Also provides golfing support partitions, the rank-r singular factors of a
+low-rank matrix with its numerical-rank check (low_rank_factors), and the
+weighting parameters for the pursuit program with their one grammar of
+spellings (lambda_from_spec).
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Literal, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Literal, Optional
 
 import numpy as np
 
-from .linalg import ensure_matrix, spectral_norm, svd, svt
+from .linalg import spectral_norm, svd, svt
 from .rng import make_rng, mix_seed, normal_matrix
 
 SupportModel = Literal["bernoulli", "exact"]
@@ -31,8 +33,10 @@ class SupportSet:
     """Corruption support Omega as a boolean mask, with an optional partition.
 
     When ``partition`` is present it lists j0 boolean masks Omega_1..Omega_j0
-    whose union is exactly the complement of ``mask`` (the golfing batches),
-    each sampled Bernoulli(q).
+    whose union is exactly the complement of ``mask`` (the golfing batches).
+    From sample_golfing_partition each batch is sampled Bernoulli(q); from
+    certificate.partition_support_complement the batches are Bernoulli(q)
+    conditioned on covering the complement of a given mask.
     """
 
     mask: np.ndarray
@@ -65,7 +69,6 @@ class ProblemInstance:
     rho: float
     seed: int
     support_model: SupportModel
-    omega: Optional[SupportSet] = field(repr=False, default=None)
 
 
 def generate_low_rank(n: int, r: int, seed: int) -> np.ndarray:
@@ -145,23 +148,11 @@ def make_instance(
 ) -> ProblemInstance:
     """Full synthetic instance; L0 and S0 use decorrelated sub-streams."""
     L0 = generate_low_rank(n, r, mix_seed(seed, _TAG_LOWRANK))
-    S0, omega = generate_sign_corruption(
-        n, rho, support_model, mix_seed(seed, _TAG_SUPPORT)
-    )
+    S0, _ = generate_sign_corruption(n, rho, support_model, mix_seed(seed, _TAG_SUPPORT))
     D = L0 + S0
     return ProblemInstance(
-        L0=L0, S0=S0, D=D, n=n, r=r, rho=rho, seed=seed,
-        support_model=support_model, omega=omega,
+        L0=L0, S0=S0, D=D, n=n, r=r, rho=rho, seed=seed, support_model=support_model,
     )
-
-
-class IncoherenceResult(NamedTuple):
-    """Leverage measurements of a rank-r matrix against the canonical basis."""
-
-    mu_row: float
-    mu_col: float
-    mu_cross: float
-    mu: float  # max of the three
 
 
 def low_rank_factors(L: np.ndarray, r: Optional[int] = None) -> tuple:
@@ -194,31 +185,6 @@ def low_rank_factors(L: np.ndarray, r: Optional[int] = None) -> tuple:
     elif detected < r:
         top = svd(L)
     return top.U[:, :r], top.V[:, :r]
-
-
-def incoherence_mu(L: np.ndarray, r: int) -> IncoherenceResult:
-    """Smallest mu making the three incoherence bounds hold for L.
-
-    Uses the reduced SVD with exactly r columns. mu_row and mu_col scale the
-    worst row leverage of the left/right singular factors by n/r; mu_cross
-    scales the squared max entry of U V^T by n^2/r. ``mu`` is the max of the
-    three, i.e. the smallest constant for which all three bounds are true.
-
-    Raises ValueError when the numerical rank of L exceeds r
-    (sigma_{r+1} > RANK_TOL * sigma_1).
-    """
-    L = ensure_matrix(L)
-    n = L.shape[0]
-    if L.shape[0] != L.shape[1]:
-        raise ValueError(f"expected a square matrix, got {L.shape}")
-    if not 1 <= r <= n:
-        raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}")
-    Ur, Vr = low_rank_factors(L, r)
-    mu_row = (n / r) * float((Ur * Ur).sum(axis=1).max())
-    mu_col = (n / r) * float((Vr * Vr).sum(axis=1).max())
-    uv_inf = float(np.abs(Ur @ Vr.T).max())
-    mu_cross = (n * n / r) * uv_inf**2
-    return IncoherenceResult(mu_row, mu_col, mu_cross, max(mu_row, mu_col, mu_cross))
 
 
 def lambda_dense(n: int, rho: float, C1: float) -> float:
@@ -278,16 +244,6 @@ def lambda_from_spec(
     if not 0 < value < math.inf:
         raise ValueError(f"lambda must be finite and positive, got {value} from {spec!r}")
     return value
-
-
-def rank_bound_ok(n: int, r: int, mu: float, C2: float = 1.0) -> bool:
-    """Check the admissible-rank condition r < C2 * n / (mu * ln(n)^2).
-
-    Natural log; the constant C2 absorbs any base change and defaults to 1.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return r < C2 * n / (mu * math.log(n) ** 2)
 
 
 def _check_rho(rho: float) -> None:

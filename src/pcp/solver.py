@@ -162,12 +162,3 @@ def pca_baseline(D: np.ndarray, r: int) -> np.ndarray:
     U, s, V = svd(D)
     return (U[:, :r] * s[:r]) @ V[:, :r].T
 
-
-def recovery_success(L0: np.ndarray, L_hat: np.ndarray, threshold: float = 0.01) -> bool:
-    """Relative Frobenius recovery criterion ||L0 - L_hat||_F / ||L0||_F < threshold."""
-    L0 = ensure_matrix(L0, "L0")
-    L_hat = ensure_matrix(L_hat, "L_hat")
-    denom = float(np.linalg.norm(L0))
-    if denom == 0.0:
-        raise ValueError("L0 must be nonzero for the relative criterion")
-    return float(np.linalg.norm(L0 - L_hat)) / denom < threshold

@@ -1,7 +1,9 @@
 """The traced benchmark rebinds the functions named in perfbench/spans.py,
-and its sweep workload reads back the CSV the harness writes; these tests keep
-the package in step with both without running the benchmark."""
+its workloads call the package by its public names, and its sweep workload
+reads back the CSV the harness writes; these tests keep the package in step
+with all three without running the benchmark."""
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -33,6 +35,19 @@ def test_layer_functions_resolve_in_pcp():
     for name, (home, attr) in spans.LAYER_FUNCTIONS.items():
         module = importlib.import_module(home)
         assert callable(getattr(module, attr, None)), f"{name}: {home}.{attr} is gone"
+
+
+def test_workload_names_resolve_in_pcp():
+    # every pcp.<name> that perfbench/workloads.py reads must stay exported
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    names = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "pcp"
+    }
+    assert {"resume_sweep", "load_csv", "lambda_dense", "SolverConfig"} <= names
+    missing = sorted(name for name in names if not hasattr(pcp, name))
+    assert not missing, f"perfbench/workloads.py uses pcp.{missing} that the package lacks"
 
 
 def test_tap_sees_the_neumann_part_of_certify_instance():

@@ -28,7 +28,7 @@ from pcp.problems import (
     sample_golfing_partition,
 )
 from pcp.rng import mix_seed
-from pcp.solver import pcp_solve, recovery_success
+from pcp.solver import pcp_solve
 from oracles import partition_by_2d_index
 
 
@@ -263,14 +263,16 @@ def test_neumann_rank_zero_gives_scaled_signs():
     T0 = TangentSubspace(U=np.zeros((n, 0)), V=np.zeros((n, 0)))
     omega = _random_omega(n, 0.3, 24)
     E = random_signs_on(omega, 25)
-    W = neumann_component(omega, T0, E, lam=0.2)
+    sigma = opnorm_support_tangent(omega, T0)
+    W = neumann_component(omega, T0, E, lam=0.2, support_tangent_norm=sigma)
     np.testing.assert_allclose(W, 0.2 * E, atol=1e-14)
 
 
 def test_neumann_zero_signs():
     T = _subspace(12, 1, 26)
     omega = _random_omega(12, 0.3, 27)
-    W = neumann_component(omega, T, np.zeros((12, 12)), lam=0.5)
+    sigma = opnorm_support_tangent(omega, T)
+    W = neumann_component(omega, T, np.zeros((12, 12)), lam=0.5, support_tangent_norm=sigma)
     np.testing.assert_array_equal(W, np.zeros((12, 12)))
 
 
@@ -280,7 +282,8 @@ def test_neumann_constraint_residuals():
     T = _subspace(n, r, mix_seed(0, 1))
     omega = sample_golfing_partition(n, rho, 10, mix_seed(0, 2))
     E = random_signs_on(omega, mix_seed(0, 3))
-    W = neumann_component(omega, T, E, lam, tol=1e-10)
+    sigma = opnorm_support_tangent(omega, T)
+    W = neumann_component(omega, T, E, lam, tol=1e-10, support_tangent_norm=sigma)
     support_res = np.linalg.norm(project_support(W, omega) - lam * E)
     assert support_res / (lam * np.linalg.norm(E)) <= 1e-8
     assert np.linalg.norm(project_tangent(W, T)) <= 1e-10 * np.linalg.norm(W)
@@ -291,8 +294,9 @@ def test_neumann_rejects_offsupport_signs():
     omega = _empty_omega(10)
     E = np.zeros((10, 10))
     E[1, 1] = 1.0
+    sigma = opnorm_support_tangent(omega, T)
     with pytest.raises(ValueError, match="outside the support"):
-        neumann_component(omega, T, E, lam=0.1)
+        neumann_component(omega, T, E, lam=0.1, support_tangent_norm=sigma)
 
 
 def test_neumann_rejects_divergent_series():
@@ -301,15 +305,42 @@ def test_neumann_rejects_divergent_series():
     T = _subspace(n, 2, 29)
     omega = _full_omega(n)
     E = random_signs_on(omega, 30)
+    sigma = opnorm_support_tangent(omega, T)
     with pytest.raises(ValueError, match="too close to 1"):
-        neumann_component(omega, T, E, lam=0.1)
+        neumann_component(omega, T, E, lam=0.1, support_tangent_norm=sigma)
 
 
 def test_neumann_rejects_noninteger_signs():
     T = _subspace(8, 1, 31)
     omega = _full_omega(8)
+    sigma = opnorm_support_tangent(omega, T)
     with pytest.raises(ValueError, match="-1, 0, or"):
-        neumann_component(omega, T, np.full((8, 8), 0.5), lam=0.1)
+        neumann_component(omega, T, np.full((8, 8), 0.5), lam=0.1, support_tangent_norm=sigma)
+
+
+def test_support_arguments_must_match_the_support_shape():
+    """A matrix argument of another shape than Omega is refused with both
+    shapes named, before it is indexed by the support mask."""
+    n = 20
+    T = _subspace(n, 1, 42)
+    omega = _random_omega(n, 0.3, 43)
+    sigma = opnorm_support_tangent(omega, T)
+    E = random_signs_on(omega, 44)
+    W = neumann_component(omega, T, E, lam=0.1, support_tangent_norm=sigma)
+    big = np.zeros((n + 1, n + 1))
+    shapes = r"\(21, 21\) does not match the support shape \(20, 20\)"
+    with pytest.raises(ValueError, match="E shape " + shapes):
+        neumann_component(omega, T, big, lam=0.1, support_tangent_norm=sigma)
+    with pytest.raises(ValueError, match="E shape " + shapes):
+        verify_certificate(W, T, omega, big, 0.1, support_tangent_norm=sigma)
+    with pytest.raises(ValueError, match="W shape " + shapes):
+        verify_certificate(big, T, omega, E, 0.1, support_tangent_norm=sigma)
+    with pytest.raises(ValueError, match="W_L shape " + shapes):
+        check_golfing_bounds(big, T, omega, 0.1, support_tangent_norm=sigma)
+    with pytest.raises(ValueError, match="W_S shape " + shapes):
+        check_sign_bounds(big, omega, E, 0.1, T)
+    with pytest.raises(ValueError, match="E shape " + shapes):
+        check_sign_bounds(W, omega, big, 0.1, T)
 
 
 # ------------------------------------------------------------- verifier
@@ -322,9 +353,12 @@ def test_verify_degenerate_no_corruption_passes():
     L = np.ones((n, n)) / n
     T = TangentSubspace.from_low_rank(L, 1)
     assert np.abs(T.uv()).max() < lam / 2
+    omega = _empty_omega(n)
+    sigma = opnorm_support_tangent(omega, T)
     report = verify_certificate(
-        np.zeros((n, n)), T, _empty_omega(n), np.zeros((n, n)), lam, eps=1.0
+        np.zeros((n, n)), T, omega, np.zeros((n, n)), lam, support_tangent_norm=sigma
     )
+    assert report.epsilon == 1.0
     assert report.passed
     assert report.lambda_hypothesis_ok
     assert report.omega_residual == 0.0
@@ -336,7 +370,8 @@ def test_verify_rejects_tangent_violation():
     W = T.uv()  # entirely inside T
     omega = _random_omega(n, 0.2, 33)
     E = random_signs_on(omega, 34)
-    report = verify_certificate(W, T, omega, E, lam=0.05)
+    sigma = opnorm_support_tangent(omega, T)
+    report = verify_certificate(W, T, omega, E, lam=0.05, support_tangent_norm=sigma)
     assert not report.passed
     assert not report.tangent_ok
     assert abs(report.pt_w_norm - np.linalg.norm(T.uv())) <= 1e-10
@@ -382,7 +417,7 @@ def test_certificate_implies_recovery():
     D = L0 + E
     result = pcp_solve(D, lam)
     if report.passed and result.converged:
-        assert recovery_success(L0, result.L_hat)
+        assert np.linalg.norm(L0 - result.L_hat) / np.linalg.norm(L0) < 0.01
     else:  # frozen pipeline behavior: this configuration certifies
         pytest.fail(f"expected certificate+convergence, got {report.passed}, {result.converged}")
 
@@ -393,8 +428,9 @@ def test_golfing_bounds_trivial_rank_zero():
     n = 10
     T0 = TangentSubspace(U=np.zeros((n, 0)), V=np.zeros((n, 0)))
     omega = _random_omega(n, 0.3, 35)
-    res = check_golfing_bounds(np.zeros((n, n)), T0, omega, lam=0.1)
-    assert res.all_ok
+    sigma = opnorm_support_tangent(omega, T0)
+    res = check_golfing_bounds(np.zeros((n, n)), T0, omega, lam=0.1, support_tangent_norm=sigma)
+    assert res.a_ok and res.b_ok and res.c_ok
     assert res.w_spectral == 0.0
 
 
@@ -403,7 +439,8 @@ def test_golfing_bounds_fail_when_scaled():
     T = _subspace(n, 1, 36)
     omega = sample_golfing_partition(n, 0.3, 4, 37)
     W, _ = golfing_component(omega, T)
-    res = check_golfing_bounds(W * 1e6, T, omega, lam=0.05)
+    sigma = opnorm_support_tangent(omega, T)
+    res = check_golfing_bounds(W * 1e6, T, omega, lam=0.05, support_tangent_norm=sigma)
     assert not res.a_ok
 
 
@@ -411,10 +448,8 @@ def test_sign_bounds_zero_signs():
     n = 20
     T = _subspace(n, 1, 38)
     omega = _random_omega(n, 0.3, 39)
-    res = check_sign_bounds(
-        np.zeros((n, n)), omega, np.zeros((n, n)), 0.1, n, 0.3, T
-    )
-    assert res.all_ok
+    res = check_sign_bounds(np.zeros((n, n)), omega, np.zeros((n, n)), 0.1, T)
+    assert res.a_ok and res.b_ok and res.e_norm_ok and res.tail_ok
     assert res.w_spectral == 0.0 and res.e_spectral == 0.0
 
 
@@ -431,8 +466,9 @@ def test_sign_bounds_on_pipeline_output():
         T = _subspace(n, r, mix_seed(seed, 1))
         omega = sample_golfing_partition(n, rho, default_j0(n), mix_seed(seed, 2))
         E = random_signs_on(omega, mix_seed(seed, 3))
-        W_S = neumann_component(omega, T, E, lam)
-        res = check_sign_bounds(W_S, omega, E, lam, n, rho, T)
+        sigma = opnorm_support_tangent(omega, T)
+        W_S = neumann_component(omega, T, E, lam, support_tangent_norm=sigma)
+        res = check_sign_bounds(W_S, omega, E, lam, T)
         hits_a += res.a_ok
         hits_e += res.e_norm_ok
         hits_tail += res.tail_ok

@@ -8,14 +8,12 @@ from pcp.problems import (
     SupportSet,
     generate_low_rank,
     generate_sign_corruption,
-    incoherence_mu,
     lambda_classic,
     lambda_dense,
     lambda_from_spec,
     low_rank_factors,
     make_instance,
     random_signs_on,
-    rank_bound_ok,
     sample_golfing_partition,
 )
 from pcp.harness import SweepConfig
@@ -151,77 +149,6 @@ def test_random_signs_on_support():
     assert set(np.unique(on)) <= {-1.0, 1.0}
 
 
-# --------------------------------------------------------- incoherence_mu
-
-def test_incoherence_spike():
-    L = np.zeros((4, 4))
-    L[0, 0] = 1.0
-    res = incoherence_mu(L, 1)
-    assert abs(res.mu_row - 4.0) <= 1e-12
-    assert abs(res.mu_cross - 16.0) <= 1e-12
-    assert abs(res.mu - 16.0) <= 1e-12
-
-
-def test_incoherence_flat_matrix():
-    for n in (8, 32, 100):
-        L = np.ones((n, n)) / n
-        res = incoherence_mu(L, 1)
-        assert abs(res.mu - 1.0) <= 1e-10
-
-
-def test_incoherence_gaussian_generator_range():
-    # Monte-Carlo bound computed from this generator: over 20 seeds at
-    # n=400, r=1 the observed mu (driven by the cross term, which scales
-    # like log^2 n) stays within [10, 300]
-    mus = [incoherence_mu(generate_low_rank(400, 1, seed), 1).mu for seed in range(20)]
-    assert min(mus) >= 10.0
-    assert max(mus) <= 300.0
-
-
-def test_incoherence_bounds_are_tight():
-    # substituting the returned mu back makes all three bounds hold, with
-    # the binding one tight
-    L = generate_low_rank(60, 2, 3)
-    res = incoherence_mu(L, 2)
-    n, r = 60, 2
-    U, s, Vt = np.linalg.svd(L)
-    U, V = U[:, :r], Vt[:r, :].T
-    lhs = [
-        (U * U).sum(axis=1).max(),
-        (V * V).sum(axis=1).max(),
-        np.abs(U @ V.T).max() ** 2,
-    ]
-    rhs = [res.mu * r / n, res.mu * r / n, res.mu * r / n**2]
-    rel_slack = [(b - a) / b for a, b in zip(lhs, rhs)]
-    assert all(slack >= -1e-12 for slack in rel_slack)
-    assert min(rel_slack) <= 1e-12
-
-
-def test_incoherence_rejects_rank_overflow():
-    L = generate_low_rank(30, 3, 0)
-    with pytest.raises(ValueError, match="numerical rank"):
-        incoherence_mu(L, 2)
-
-
-def _mu_by_full_svd(L, r):
-    n = L.shape[0]
-    U, _, Vt = np.linalg.svd(L)
-    U, V = U[:, :r], Vt[:r].T
-    return (
-        (n / r) * (U * U).sum(axis=1).max(),
-        (n / r) * (V * V).sum(axis=1).max(),
-        (n * n / r) * np.abs(U @ V.T).max() ** 2,
-    )
-
-
-@pytest.mark.parametrize("n, r, seed", [(60, 1, 0), (60, 2, 3), (120, 3, 5), (200, 4, 8)])
-def test_incoherence_matches_full_svd(n, r, seed):
-    L = generate_low_rank(n, r, seed)
-    res = incoherence_mu(L, r)
-    for got, expected in zip(res[:3], _mu_by_full_svd(L, r)):
-        assert abs(got - expected) <= 1e-12 * expected
-
-
 # ------------------------------------------------------- low_rank_factors
 
 def _assert_same_subspaces(U, V, L, r):
@@ -232,6 +159,20 @@ def _assert_same_subspaces(U, V, L, r):
     np.testing.assert_allclose(V @ V.T, Vf @ Vf.T, atol=1e-12)
     np.testing.assert_allclose(U.T @ U, np.eye(r), atol=1e-12)
     np.testing.assert_allclose(V.T @ V, np.eye(r), atol=1e-12)
+
+
+@pytest.mark.parametrize("n, r, seed", [(60, 1, 0), (60, 2, 3), (120, 3, 5), (200, 4, 8)])
+def test_low_rank_factors_match_full_svd(n, r, seed):
+    L = generate_low_rank(n, r, seed)
+    U, V = low_rank_factors(L, r)
+    _assert_same_subspaces(U, V, L, r)
+
+
+def test_low_rank_factors_reject_rank_overflow():
+    # n=30 is too small for the sketch: the full SVD finds the overflow
+    L = generate_low_rank(30, 3, 0)
+    with pytest.raises(ValueError, match=r"numerical rank 3 exceeds r=2"):
+        low_rank_factors(L, 2)
 
 
 def test_low_rank_factors_partial_path_needs_no_full_svd(monkeypatch):
@@ -280,7 +221,7 @@ def test_low_rank_factors_keep_r_columns_below_the_rank():
     np.testing.assert_array_equal(V, np.eye(15)[:, :2])
 
 
-# -------------------------------------------------- lambda / rank bound
+# ---------------------------------------------------------------- lambda
 
 def test_lambda_dense_frozen_value():
     # independent arithmetic: C1/(4*sqrt(1-rho) + 9/4) * sqrt((1-rho)/(n*rho))
@@ -354,19 +295,11 @@ def test_lambda_from_spec(spec, n, cell, expected, tol):
             build()
 
 
-def test_rank_bound():
-    assert rank_bound_ok(1600, 1, 1.0, 1.0)
-    assert not rank_bound_ok(1600, 100, 1.0, 1.0)
-    boundary = math.ceil(1600 / math.log(1600) ** 2)
-    assert not rank_bound_ok(1600, boundary, 1.0, 1.0)
-
-
 # ---------------------------------------------------------- make_instance
 
 def test_instance_composition_is_exact():
     inst = make_instance(30, 2, 0.2, 5)
     np.testing.assert_array_equal(inst.D, inst.L0 + inst.S0)
-    assert inst.omega.count == np.count_nonzero(inst.S0)
 
 
 def test_instance_exact_count():

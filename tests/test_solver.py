@@ -4,7 +4,7 @@ import pytest
 import pcp.solver
 from pcp.linalg import soft_threshold, svd, svt
 from pcp.problems import generate_low_rank, lambda_classic, make_instance
-from pcp.solver import SolveResult, SolverConfig, pca_baseline, pcp_solve, recovery_success
+from pcp.solver import SolveResult, SolverConfig, pca_baseline, pcp_solve
 from oracles import dr_solve
 
 # high-accuracy schedule for oracle-equivalence checks: slow penalty growth
@@ -39,7 +39,7 @@ def test_norm_estimate_cap_does_not_stop_the_solve(monkeypatch):
     monkeypatch.setattr(pcp.linalg, "LANCZOS_STEP_CAP", 2)
     res = pcp_solve(inst.D, lambda_classic(40))
     assert res.converged
-    assert recovery_success(inst.L0, res.L_hat)
+    assert np.linalg.norm(inst.L0 - res.L_hat) / np.linalg.norm(inst.L0) < 0.01
 
 
 def test_objective_below_trivial_points():
@@ -94,7 +94,7 @@ def test_oracle_equivalence_small_instances():
 def test_small_scale_recovery():
     inst = make_instance(80, 1, 0.1, 12)
     res = pcp_solve(inst.D, lambda_classic(80))
-    assert recovery_success(inst.L0, res.L_hat)
+    assert np.linalg.norm(inst.L0 - res.L_hat) / np.linalg.norm(inst.L0) < 0.01
 
 
 def test_max_iters_reports_nonconverged():
@@ -164,7 +164,7 @@ def test_first_l_step_keeping_nothing_starts_next_sketch_empty(monkeypatch):
     assert svt_calls[0][1].singular_values.size == 0
     assert svt_calls[1][0].shape == (n, 0)
     assert res.converged
-    assert recovery_success(L0, res.L_hat)
+    assert np.linalg.norm(L0 - res.L_hat) / np.linalg.norm(L0) < 0.01
 
 
 def test_input_is_only_read():
@@ -212,20 +212,6 @@ def test_pca_baseline_rank_zero():
 def test_pca_baseline_rejects_bad_rank():
     with pytest.raises(ValueError):
         pca_baseline(np.ones((4, 4)), 5)
-
-
-# ------------------------------------------------------- recovery_success
-
-def test_recovery_success_cases():
-    L0 = np.random.default_rng(12).standard_normal((6, 6))
-    assert recovery_success(L0, L0)
-    assert not recovery_success(L0, 2.0 * L0)
-    assert recovery_success(L0, L0 * 1.005)
-
-
-def test_recovery_success_rejects_zero_reference():
-    with pytest.raises(ValueError):
-        recovery_success(np.zeros((3, 3)), np.ones((3, 3)))
 
 
 # --------------------------------------------- fragility vs robustness
