@@ -24,17 +24,51 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import ConvergenceError, ensure_matrix, spectral_norm, sqrt_top_eigenvalue
-from .problems import SupportSet, low_rank_factors
+from .linalg import (
+    DEFAULT_TOL,
+    ConvergenceError,
+    ensure_matrix,
+    spectral_norm,
+    sqrt_top_eigenvalue,
+    svt,
+)
+from .problems import SupportSet
 from .rng import make_rng, mix_seed
 
-# tag for the operator-norm Lanczos start vector
+# tag for the operator-norm Lanczos start block
 _OPNORM_SEED_TAG = 0x0113A7B5
 
-OPNORM_TOL = 1e-8
+# numerical-rank cutoff: sigma_{r+1} <= RANK_TOL * sigma_1 counts as rank r
+RANK_TOL = 1e-8
 # spectral level of the certificate: ||W|| < ALPHA, with lambda < 1 - ALPHA
 ALPHA = 0.9
 NEUMANN_MAX_TERMS = 1000
+
+
+def low_rank_factors(L: np.ndarray, r: Optional[int] = None) -> tuple:
+    """Leading singular factors (U_r, V_r) of L, with orthonormal columns.
+
+    The numerical rank is the count of singular values above
+    RANK_TOL * sigma_1 (0 for a zero matrix); r=None takes it, and a given
+    r must equal it, else ValueError. The triplets above the cutoff come
+    from svt at that cutoff with a rank guess of r + 1 (2 when r is None),
+    sigma_1 from spectral_norm: svt accepts its partial sketch only when
+    its gates prove the rest of the spectrum lies at or below the cutoff
+    (wrong with probability at most 1.7e-7), else it runs the exact full
+    SVD.
+    """
+    tau = RANK_TOL * spectral_norm(L)
+    top = svt(L, tau, rank_guess=(r or 1) + 1)
+    s = top.singular_values + tau
+    detected = s.size
+    if r is not None and detected > r:
+        raise ValueError(
+            f"numerical rank {detected} exceeds r={r} "
+            f"(sigma_{r + 1}/sigma_1 = {s[r] / s[0]:.3e})"
+        )
+    if r is not None and detected < r:
+        raise ValueError(f"numerical rank {detected} is below r={r}")
+    return top.U, top.V
 
 
 @dataclass
@@ -69,14 +103,8 @@ class TangentSubspace:
 
     @classmethod
     def from_low_rank(cls, L: np.ndarray, r: Optional[int] = None) -> "TangentSubspace":
-        """Tangent subspace at a numerically rank-r matrix.
-
-        r=None detects the numerical rank (singular values above
-        1e-8 * sigma_1); passing r checks sigma_{r+1} against the same cutoff.
-        The factors come from problems.low_rank_factors: a partial sketch
-        whose rank is gate-proven (wrong with probability at most 1.7e-7),
-        with the exact full SVD as fallback.
-        """
+        """Tangent subspace at L, from low_rank_factors(L, r): r=None takes
+        the numerical rank, a given r must equal it."""
         U, V = low_rank_factors(ensure_matrix(L, "L"), r)
         return cls(U=U, V=V)
 
@@ -131,7 +159,7 @@ def _check_on_support(E: np.ndarray, omega: SupportSet) -> None:
 def opnorm_support_tangent(
     omega: SupportSet,
     T: TangentSubspace,
-    tol: float = OPNORM_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """||P_Omega P_T|| by Lanczos on P_T P_Omega P_T in tangent coordinates.
 
@@ -140,8 +168,10 @@ def opnorm_support_tangent(
     nonzero spectrum of P_T P_Omega P_T; its top eigenvalue, found to
     relative tolerance tol by lanczos_top_eigenvalue, is the squared norm
     sought. Each step applies project_support once; the Lanczos basis holds
-    vectors of length 2nr, never n x n matrices. The start vector is seeded from
-    (n, r, |Omega|) only, making the value reproducible.
+    vectors of length 2nr, never n x n matrices. The start vector is C^T G
+    for an n x n block G seeded from (n, r, |Omega|) only: C C^T G = P_T G
+    depends on T alone, not on its basis, so the value and the step count
+    are functions of (T, Omega).
 
     Raises ConvergenceError (with the best norm estimate attached) at the
     step cap.
@@ -162,8 +192,10 @@ def opnorm_support_tangent(
         Z = project_support(np.hstack([U, perp(Y)]) @ np.hstack([X, V]).T, omega)
         return np.concatenate([(Z.T @ U).ravel(), perp(Z @ V).ravel()])
 
-    rng = make_rng(mix_seed(_OPNORM_SEED_TAG, n, r, omega.count))
-    return min(sqrt_top_eigenvalue(matvec, rng.random(2 * n * r) - 0.5, tol), 1.0)
+    G = make_rng(mix_seed(_OPNORM_SEED_TAG, n, r, omega.count)).random((n, n)) - 0.5
+    v0 = np.concatenate([(G.T @ U).ravel(), perp(G @ V).ravel()])
+    del G  # n x n, not needed while Lanczos runs
+    return min(sqrt_top_eigenvalue(matvec, v0, tol), 1.0)
 
 
 def golfing_component(omega: SupportSet, T: TangentSubspace) -> tuple:
@@ -457,11 +489,8 @@ def partition_support_complement(omega: SupportSet, j0: int, seed: int) -> Suppo
     if j0 < 1:
         raise ValueError(f"j0 must be >= 1, got {j0}")
     n = omega.n
-    density = omega.count / float(n * n)
-    if density <= 0.0:
-        q = 1.0  # empty support: unconditioned batches cover everything
-    else:
-        q = 1.0 - density ** (1.0 / j0)
+    # an empty support gives q = 1: unconditioned batches cover everything
+    q = 1.0 - (omega.count / float(n * n)) ** (1.0 / j0)
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q}")
     rng = make_rng(seed)

@@ -13,6 +13,7 @@ import os
 import sys
 import traceback
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .harness import (
     run_sweep,
     write_sidecar,
 )
-from .problems import lambda_from_spec, make_instance
+from .problems import SupportModel, lambda_from_spec, make_instance
 from .solver import SolverConfig, pcp_solve
 
 LAMBDA_HELP = "classic | dense:<rho>,<C1> | fixed:<v> | <v>"
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--r", type=int, required=True)
     gen.add_argument("--rho", type=float, required=True)
-    gen.add_argument("--model", choices=("bernoulli", "exact"), default="exact")
+    gen.add_argument("--model", choices=get_args(SupportModel), default="exact")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-l0", required=True)
     gen.add_argument("--out-s0", required=True)

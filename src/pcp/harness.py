@@ -70,6 +70,8 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.support_model not in get_args(SupportModel):
             raise ValueError(f"unknown support model {self.support_model!r}")
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError(f"solver must be a SolverConfig, got {type(self.solver).__name__}")
         for name in ("C1", "success_threshold"):
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value)):

@@ -3,19 +3,16 @@
 Ground truth follows the standard random model: L0 is a product of two
 n x r Gaussian factors with entry variance 100/n, S0 carries +/-1 signs on a
 random support of density rho (Bernoulli or exact-count), and D = L0 + S0.
-Also provides golfing support partitions, the rank-r singular factors of a
-low-rank matrix with its numerical-rank check (low_rank_factors), and the
-weighting parameters for the pursuit program with their one grammar of
-spellings (lambda_from_spec).
+Also provides golfing support partitions and the weighting parameters for
+the pursuit program with their one grammar of spellings (lambda_from_spec).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
-from .linalg import spectral_norm, svd, svt
 from .rng import make_rng, mix_seed, normal_matrix
 
 SupportModel = Literal["bernoulli", "exact"]
@@ -23,9 +20,6 @@ SupportModel = Literal["bernoulli", "exact"]
 # sub-stream tags within one instance seed
 _TAG_LOWRANK = 1
 _TAG_SUPPORT = 2
-
-# numerical-rank cutoff: sigma_{r+1} <= RANK_TOL * sigma_1 counts as rank r
-RANK_TOL = 1e-8
 
 
 @dataclass
@@ -93,7 +87,7 @@ def generate_sign_corruption(
     Nonzero entries are +1 or -1 with equal probability either way.
     """
     _check_rho(rho)
-    if model not in ("bernoulli", "exact"):
+    if model not in get_args(SupportModel):
         raise ValueError(f"unknown support model {model!r}")
     rng = make_rng(seed)
     S = np.zeros((n, n))
@@ -153,38 +147,6 @@ def make_instance(
     return ProblemInstance(
         L0=L0, S0=S0, D=D, n=n, r=r, rho=rho, seed=seed, support_model=support_model,
     )
-
-
-def low_rank_factors(L: np.ndarray, r: Optional[int] = None) -> tuple:
-    """Leading singular factors (U_r, V_r) of L, with orthonormal columns.
-
-    r=None takes the numerical rank: the count of singular values above
-    RANK_TOL * sigma_1 (0 for a zero matrix). A given r is checked against
-    it: ValueError when sigma_{r+1} > RANK_TOL * sigma_1.
-
-    The triplets above the cutoff come from svt at that cutoff with a rank
-    guess of r + 1 (2 when r is None), sigma_1 from spectral_norm. svt's
-    partial path is accepted only when its gates prove the rest of the
-    spectrum lies at or below the cutoff, so the detected rank is wrong
-    with probability at most 1.7e-7; when they do not, svt falls back to
-    the exact full SVD. A given r above the numerical rank takes its
-    columns from the full SVD too: the ones past the rank span part of the
-    near-null space, which the sketch does not compute.
-    """
-    tau = RANK_TOL * spectral_norm(L)
-    top = svt(L, tau, rank_guess=(r or 1) + 1)
-    s = top.singular_values + tau
-    detected = s.size
-    if r is None:
-        r = detected
-    elif detected > r:
-        raise ValueError(
-            f"numerical rank {detected} exceeds r={r} "
-            f"(sigma_{r + 1}/sigma_1 = {s[r] / s[0]:.3e})"
-        )
-    elif detected < r:
-        top = svd(L)
-    return top.U[:, :r], top.V[:, :r]
 
 
 def lambda_dense(n: int, rho: float, C1: float) -> float:

@@ -2,8 +2,10 @@
 single [C## PASS/FAIL] line with the measured quantities.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
-lines; the whole suite takes roughly half an hour on a desktop machine,
-dominated by the two full n=400 sweeps shared by criteria 7 and 8.
+lines. The whole test suite takes 7-8 minutes on 2 cores (OpenBLAS), about
+370 s of it in the two full n=400 sweeps shared by criteria 7 and 8. Those
+two are marked ``slow``; `pytest -m "not slow"` leaves them out and takes
+about 75 s.
 """
 
 import math
@@ -267,6 +269,7 @@ def test_c06_certificate_end_to_end():
     )
 
 
+@pytest.mark.slow
 def test_c07_desk_scale_phase_behavior(sweep_c08):
     """n=400, r=1, C1=0.8: success fraction >= 0.9 at rho=0.1 and <= 0.1 at
     rho=0.8 over 10 trials each."""
@@ -288,6 +291,7 @@ def _breakdown_rho(result):
     return last
 
 
+@pytest.mark.slow
 def test_c08_c1_ordering(sweep_c08, sweep_c40):
     """The largest reliably-recovered corruption fraction under C1=4 is at
     least the one under C1=0.8."""

@@ -24,6 +24,7 @@ from pcp.problems import (
     generate_low_rank,
     generate_sign_corruption,
     lambda_dense,
+    make_instance,
     random_signs_on,
     sample_golfing_partition,
 )
@@ -191,6 +192,29 @@ def test_opnorm_applies_project_support_once_per_step(monkeypatch):
     assert len(per_step) > 1
     assert per_step == [1] * len(per_step)
     assert len(support_calls) == len(per_step)
+
+
+def test_opnorm_steps_ignore_singular_vector_signs(monkeypatch):
+    """The Lanczos start is built from T, not from its basis: flipping the
+    signs of paired (u_i, v_i) keeps the step count. The instance is the
+    certify benchmark's r=2, rho=0.3 one, where a start drawn in tangent
+    coordinates took 40 steps with one sign choice and 43 with another."""
+    inst = make_instance(500, 2, 0.3, 3000020000063)
+    omega = SupportSet(mask=inst.S0 != 0.0)
+    T = TangentSubspace.from_low_rank(inst.L0, 2)
+    signs = np.array([-1.0, 1.0])
+    flipped = TangentSubspace(U=T.U * signs, V=T.V * signs)
+    calls = []
+    original = pcp.certificate.project_support
+    monkeypatch.setattr(pcp.certificate, "project_support",
+                        lambda M, o: calls.append(1) or original(M, o))
+    steps, norms = [], []
+    for subspace in (T, flipped):
+        calls.clear()
+        norms.append(opnorm_support_tangent(omega, subspace))
+        steps.append(len(calls))
+    assert steps[0] == steps[1]
+    assert abs(norms[0] - norms[1]) <= 1e-12
 
 
 def test_opnorm_never_exceeds_one():

@@ -320,6 +320,9 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+    # a solver given as a dict would fail only at the first cell
+    with pytest.raises(ValueError, match="solver must be a SolverConfig, got dict"):
+        SweepConfig(n_list=[20], rho_grid=[0.1], trials=1, solver={"max_iters": 5})
     with pytest.raises(ValueError, match="unknown"):
         SweepConfig.from_dict({"n_list": [20], "rho_grid": [0.1], "parallelism": 2})
     with pytest.raises(ValueError, match="lacks"):

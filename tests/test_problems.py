@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pcp.linalg
+from pcp.certificate import low_rank_factors
 from pcp.problems import (
     SupportSet,
     generate_low_rank,
@@ -11,7 +12,6 @@ from pcp.problems import (
     lambda_classic,
     lambda_dense,
     lambda_from_spec,
-    low_rank_factors,
     make_instance,
     random_signs_on,
     sample_golfing_partition,
@@ -208,17 +208,12 @@ def test_low_rank_factors_of_zero_matrix():
     assert U.shape == V.shape == (15, 0)
 
 
-def test_low_rank_factors_keep_r_columns_below_the_rank():
-    """A given r above the numerical rank still yields r orthonormal
-    columns, those of the full SVD."""
-    L = generate_low_rank(40, 1, 13)
-    U, V = low_rank_factors(L, 3)
-    Uf, _, Vt = np.linalg.svd(L)
-    np.testing.assert_allclose(U, Uf[:, :3], atol=1e-12)
-    np.testing.assert_allclose(V, Vt[:3].T, atol=1e-12)
-    U, V = low_rank_factors(np.zeros((15, 15)), 2)
-    np.testing.assert_array_equal(U, np.eye(15)[:, :2])
-    np.testing.assert_array_equal(V, np.eye(15)[:, :2])
+def test_low_rank_factors_reject_r_above_the_rank():
+    """Columns past the numerical rank would span no tangent space of L."""
+    with pytest.raises(ValueError, match=r"^numerical rank 1 is below r=3$"):
+        low_rank_factors(generate_low_rank(40, 1, 13), 3)
+    with pytest.raises(ValueError, match=r"^numerical rank 0 is below r=2$"):
+        low_rank_factors(np.zeros((15, 15)), 2)
 
 
 # ---------------------------------------------------------------- lambda
