@@ -1,5 +1,6 @@
 """Dual-certificate machinery: tangent/support projectors, the golfing and
-Neumann-series certificate components, and the optimality-condition checks.
+least-squares (Neumann) certificate components, and the optimality-condition
+checks.
 
 With L0 = U Sigma V^T of rank r, T is the tangent subspace
 {U X^T + Y V^T} and Omega the subspace of matrices supported on the
@@ -13,8 +14,14 @@ corruption set. A certificate W with
 where E is the corruption sign matrix, witnesses that the low-rank/sparse
 pair is the unique optimum of the pursuit program (given lambda < 1 - alpha
 and ||P_Omega P_T|| <= 1 - eps). W is built as a sum of two parts: a golfing
-recursion handling the tangent-space conditions and a Neumann least-squares
-series matching lambda * E on the support.
+recursion handling the tangent-space conditions, and the least-squares part
+matching lambda * E on the support, the limit of a Neumann series.
+
+Both ||P_Omega P_T|| and the least-squares part run on one operator,
+C^T P_Omega C, where C maps the 2nr tangent coordinates (X, Y) onto
+U X^T + (I - U U^T) Y V^T, so C C^T = P_T: Lanczos finds its top
+eigenvalue, and conjugate gradients invert I - C^T P_Omega C in place of
+summing the series term by term.
 """
 
 import dataclasses
@@ -42,6 +49,7 @@ _OPNORM_SEED_TAG = 0x0113A7B5
 RANK_TOL = 1e-8
 # spectral level of the certificate: ||W|| < ALPHA, with lambda < 1 - ALPHA
 ALPHA = 0.9
+# cap on the applications of C^T P_Omega C in neumann_component
 NEUMANN_MAX_TERMS = 1000
 
 
@@ -156,22 +164,53 @@ def _check_on_support(E: np.ndarray, omega: SupportSet) -> None:
         raise ValueError("E has entries outside the support set")
 
 
+def _perp(Y: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """(I - U U^T) Y."""
+    return Y - U @ (U.T @ Y)
+
+
+def _tangent_coords(Z: np.ndarray, T: TangentSubspace) -> np.ndarray:
+    """C^T Z = (Z^T U, (I - U U^T) Z V), flattened to length 2nr."""
+    return np.concatenate([(Z.T @ T.U).ravel(), _perp(Z @ T.V, T.U).ravel()])
+
+
+def _tangent_matrix(z: np.ndarray, T: TangentSubspace, out: np.ndarray) -> np.ndarray:
+    """C z = U X^T + (I - U U^T) Y V^T for z = (X, Y), flattened n x r
+    blocks, written into ``out`` as one rank-2r product."""
+    n, r = T.U.shape
+    X, Y = z[: n * r].reshape(n, r), z[n * r :].reshape(n, r)
+    return np.matmul(np.hstack([T.U, _perp(Y, T.U)]), np.hstack([X, T.V]).T, out=out)
+
+
+def _support_tangent_gram(
+    z: np.ndarray, omega: SupportSet, T: TangentSubspace, buf: np.ndarray
+) -> np.ndarray:
+    """M z for M = C^T P_Omega C, the operator of both opnorm_support_tangent
+    and neumann_component.
+
+    C(X, Y) = U X^T + (I - U U^T) Y V^T maps tangent coordinates (two n x r
+    blocks) onto T, with C C^T = P_T. C z is formed in ``buf`` (n x n,
+    overwritten), project_support is applied once, and C^T costs two n x r
+    products.
+    """
+    return _tangent_coords(project_support(_tangent_matrix(z, T, buf), omega), T)
+
+
 def opnorm_support_tangent(
     omega: SupportSet,
     T: TangentSubspace,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """||P_Omega P_T|| by Lanczos on P_T P_Omega P_T in tangent coordinates.
+    """||P_Omega P_T|| by Lanczos on C^T P_Omega C in tangent coordinates.
 
-    With C(X, Y) = U X^T + (I - U U^T) Y V^T for n x r blocks X, Y, C C^T
-    = P_T, so C^T P_Omega C, acting on vectors of length 2nr, has the
-    nonzero spectrum of P_T P_Omega P_T; its top eigenvalue, found to
-    relative tolerance tol by lanczos_top_eigenvalue, is the squared norm
-    sought. Each step applies project_support once; the Lanczos basis holds
-    vectors of length 2nr, never n x n matrices. The start vector is C^T G
-    for an n x n block G seeded from (n, r, |Omega|) only: C C^T G = P_T G
-    depends on T alone, not on its basis, so the value and the step count
-    are functions of (T, Omega).
+    C^T P_Omega C (see _support_tangent_gram), acting on vectors of length
+    2nr, has the nonzero spectrum of P_T P_Omega P_T; its top eigenvalue,
+    found to relative tolerance tol by lanczos_top_eigenvalue, is the
+    squared norm sought. Each step applies project_support once; the
+    Lanczos basis holds vectors of length 2nr, never n x n matrices. The
+    start vector is C^T G for an n x n block G seeded from (n, r, |Omega|)
+    only: C C^T G = P_T G depends on T alone, not on its basis, so the value
+    and the step count are functions of (T, Omega).
 
     Raises ConvergenceError (with the best norm estimate attached) at the
     step cap.
@@ -181,21 +220,14 @@ def opnorm_support_tangent(
     n, r = omega.n, T.r
     if r == 0 or omega.count == 0:
         return 0.0
-    U, V = T.U, T.V
-
-    def perp(Y):
-        return Y - U @ (U.T @ Y)
-
-    def matvec(z):
-        X, Y = z[: n * r].reshape(n, r), z[n * r :].reshape(n, r)
-        # C(X, Y) = U X^T + perp(Y) V^T as one rank-2r product
-        Z = project_support(np.hstack([U, perp(Y)]) @ np.hstack([X, V]).T, omega)
-        return np.concatenate([(Z.T @ U).ravel(), perp(Z @ V).ravel()])
-
     G = make_rng(mix_seed(_OPNORM_SEED_TAG, n, r, omega.count)).random((n, n)) - 0.5
-    v0 = np.concatenate([(G.T @ U).ravel(), perp(G @ V).ravel()])
+    v0 = _tangent_coords(G, T)
     del G  # n x n, not needed while Lanczos runs
-    return min(sqrt_top_eigenvalue(matvec, v0, tol), 1.0)
+    buf = np.empty((n, n))
+    return min(
+        sqrt_top_eigenvalue(lambda z: _support_tangent_gram(z, omega, T, buf), v0, tol),
+        1.0,
+    )
 
 
 def golfing_component(omega: SupportSet, T: TangentSubspace) -> tuple:
@@ -205,22 +237,33 @@ def golfing_component(omega: SupportSet, T: TangentSubspace) -> tuple:
     support-complement batches attached to ``omega`` and returns
     (P_Tperp Y_j0, trace), where trace[j] = ||P_T(U V^T - Y_j)||_F for
     j = 0..j0. The trace exposes the per-step residual decay.
+
+    The residual is carried in factors, P_T(U V^T - Y) = U A - B V^T with
+    A = V^T - U^T Y and B = (I - U U^T) Y V; U^T B = 0 makes its norm
+    sqrt(||A||_F^2 + ||B||_F^2). Each step forms the scaled residual once
+    as a rank-2r product, masks it with the batch and adds it into Y in
+    place.
     """
     if omega.partition is None or omega.q is None:
         raise ValueError(
             "omega must carry a golfing partition "
             "(see sample_golfing_partition or partition_support_complement)"
         )
-    UV = T.uv()
-    Y = np.zeros_like(UV)
-    residual = project_tangent(UV, T)  # equals UV
-    trace = [float(np.linalg.norm(residual))]
+    U, V = T.U, T.V
     inv_q = 1.0 / omega.q
+    Y = np.zeros((omega.n, omega.n))
+    step = np.empty_like(Y)
+    A, B = V.T, np.zeros_like(U)
+    trace = [math.hypot(np.linalg.norm(A), np.linalg.norm(B))]
     for batch in omega.partition:
-        Y = Y + inv_q * (residual * batch)
-        residual = project_tangent(UV - Y, T)
-        trace.append(float(np.linalg.norm(residual)))
-    return project_tangent_complement(Y, T), trace
+        np.matmul(np.hstack([inv_q * U, -inv_q * B]), np.vstack([A, V.T]), out=step)
+        step *= batch
+        Y += step
+        A = V.T - U.T @ Y
+        B = _perp(Y @ V, U)
+        trace.append(math.hypot(np.linalg.norm(A), np.linalg.norm(B)))
+    Y -= project_tangent(Y, T)
+    return Y, trace
 
 
 def neumann_component(
@@ -232,19 +275,26 @@ def neumann_component(
     *,
     support_tangent_norm: float,
 ) -> np.ndarray:
-    """Least-squares certificate part via the Neumann operator series.
+    """Least-squares certificate part: the limit of the Neumann series
+    lambda * P_Tperp sum_k (P_Omega P_T P_Omega)^k E, by conjugate gradients.
 
-    Computes lambda * P_Tperp sum_k (P_Omega P_T P_Omega)^k E by iterated
-    projection, summing terms up to the first whose Frobenius norm is below
-    tol (absolute, not scaled by lambda), which is left out; past
-    NEUMANN_MAX_TERMS terms it raises ConvergenceError. The result satisfies
-    P_T W = 0 up to round-off (a final explicit complement projection) and
-    matches lambda * E on the support up to the truncated geometric tail.
+    With P_T = C C^T and M = C^T P_Omega C (see _support_tangent_gram), the
+    series sums to E + P_Omega C (I - M)^{-1} C^T E. Conjugate gradients
+    solve (I - M) x = C^T E in the 2nr tangent coordinates, one application
+    of M per iteration, and the result is
+    W = lambda * P_Tperp P_Omega(E + C x), formed once at the end. For the
+    CG residual r = C^T E - (I - M) x, P_Omega W - lambda * E =
+    -lambda * P_Omega C r, so stopping at the first ||r|| < tol (absolute,
+    not scaled by lambda) keeps the support mismatch at most lambda * tol,
+    the bound of stopping the series at its first term below tol. Past
+    NEUMANN_MAX_TERMS applications of M it raises ConvergenceError carrying
+    ||r||. The result satisfies P_T W = 0 up to round-off.
 
     E must be supported on Omega with entries in {-1, 0, +1}.
     ``support_tangent_norm`` is sigma = ||P_Omega P_T||, the caller's one
-    opnorm_support_tangent value. The series requires sigma < 1; values
-    within 1e-6 of 1 are refused as divergent.
+    opnorm_support_tangent value. The series requires sigma < 1 (so that
+    I - M is positive definite); values within 1e-6 of 1 are refused as
+    divergent.
     """
     E = ensure_matrix(E, "E")
     if lam <= 0:
@@ -261,19 +311,33 @@ def neumann_component(
             "Neumann series diverges"
         )
 
-    term = E.copy()
-    total = np.zeros_like(E)
-    for _ in range(NEUMANN_MAX_TERMS):
-        total += term
-        term = project_support(project_tangent(term, T), omega)
-        if float(np.linalg.norm(term)) < tol:
-            return lam * project_tangent_complement(total, T)
-    residual = float(np.linalg.norm(term))
-    raise ConvergenceError(
-        f"Neumann series not below tol={tol} after {NEUMANN_MAX_TERMS} terms "
-        f"(last term norm {residual:.3e})",
-        estimate=residual,
-    )
+    buf = np.empty_like(E)
+    residual = _tangent_coords(E, T)
+    x = np.zeros_like(residual)
+    direction = residual.copy()
+    rr = float(residual @ residual)
+    applications = 0
+    while math.sqrt(rr) >= tol:
+        if applications == NEUMANN_MAX_TERMS:
+            raise ConvergenceError(
+                f"Neumann solve not below tol={tol} after {NEUMANN_MAX_TERMS} "
+                f"applications (residual norm {math.sqrt(rr):.3e})",
+                estimate=math.sqrt(rr),
+            )
+        applications += 1
+        image = direction - _support_tangent_gram(direction, omega, T, buf)
+        step = rr / float(direction @ image)
+        x += step * direction
+        residual -= step * image
+        rr, rr_prev = float(residual @ residual), rr
+        direction = residual + (rr / rr_prev) * direction
+    # E lies on Omega, so E + P_Omega C x = P_Omega(E + C x); formed in buf
+    W = _tangent_matrix(x, T, buf)
+    W += E
+    W *= omega.mask
+    W -= project_tangent(W, T)
+    W *= lam
+    return W
 
 
 @dataclass

@@ -261,10 +261,12 @@ def lanczos_top_eigenvalue(
         raise ValueError("start vector must be nonzero")
     dim = v0.size
     steps = min(dim, LANCZOS_STEP_CAP)
-    # rows: the Lanczos basis, doubled when full so memory follows the steps taken
+    # rows: the Lanczos basis, doubled when full so memory follows the steps
+    # taken; copied straight into the larger block, with no temporary half
     Q = np.empty((32, dim))
     Q[0] = v0 / nv
-    alphas, betas = [], []
+    # the tridiagonal projection, grown with Q; step k reads its (k+1)-block
+    tri = np.zeros((32, 32))
     theta = 0.0
     for k in range(steps):
         w = np.array(matvec(Q[k]), dtype=np.float64).ravel()  # never a view of Q
@@ -272,10 +274,9 @@ def lanczos_top_eigenvalue(
         h = basis @ w
         w -= basis.T @ h
         w -= basis.T @ (basis @ w)
-        alphas.append(float(h[k]))
+        tri[k, k] = h[k]
         beta = float(np.linalg.norm(w))
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        ritz, vecs = np.linalg.eigh(tri)
+        ritz, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
         theta = float(ritz[-1])
         scale = max(abs(ritz[0]), abs(theta))
         if (
@@ -285,9 +286,12 @@ def lanczos_top_eigenvalue(
         ):
             return theta
         if k + 1 == Q.shape[0]:
-            Q = np.concatenate([Q, np.empty_like(Q)])
+            grown = np.empty((2 * (k + 1), dim))
+            grown[: k + 1] = Q
+            Q = grown
+            tri = np.pad(tri, (0, k + 1))
         Q[k + 1] = w / beta
-        betas.append(beta)
+        tri[k, k + 1] = tri[k + 1, k] = beta
     raise ConvergenceError(
         f"Lanczos did not reach tol={tol} in {LANCZOS_STEP_CAP} steps",
         estimate=theta,

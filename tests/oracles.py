@@ -4,7 +4,9 @@ These deliberately avoid the code paths they certify: the scalar prox oracle
 is a pure-Python loop, the prox characterization uses 1-D ternary search on
 the defining objective, and the pursuit oracle is Douglas-Rachford splitting
 on the sparse-eliminated form of the program (a different first-order method
-than the production solver).
+than the production solver). The certificate references sum the Neumann series
+term by term and run the golfing recursion on full n x n matrices, with the
+three-term tangent projector, where the library works in tangent coordinates.
 """
 
 import math
@@ -112,3 +114,36 @@ def partition_by_2d_index(mask, q, j0, seed):
         pending = np.zeros_like(pending)
         pending[rows[~hit_any], cols[~hit_any]] = True
     return batches
+
+
+def _tangent_projection(M, U, V):
+    """U U^T M + M V V^T - U U^T M V V^T."""
+    UUtM = U @ (U.T @ M)
+    return UUtM + (M - UUtM) @ V @ V.T
+
+
+def neumann_series(mask, U, V, E, lam, tol=1e-10, max_terms=1000):
+    """lam * P_Tperp sum_k (P_Omega P_T P_Omega)^k E, summed term by term up
+    to the first term of Frobenius norm below tol, which is left out."""
+    term = np.array(E, dtype=float)
+    total = np.zeros_like(term)
+    for _ in range(max_terms):
+        total += term
+        term = mask * _tangent_projection(term, U, V)
+        if np.linalg.norm(term) < tol:
+            return lam * (total - _tangent_projection(total, U, V))
+    raise RuntimeError(f"Neumann series not below tol={tol} after {max_terms} terms")
+
+
+def golfing_dense(batches, q, U, V):
+    """Golfing recursion Y_j = Y_{j-1} + (1/q) P_{batch_j} P_T(U V^T - Y_{j-1})
+    on n x n matrices; returns (P_Tperp Y_j0, [||P_T(U V^T - Y_j)||_F])."""
+    UV = U @ V.T
+    Y = np.zeros_like(UV)
+    residual = _tangent_projection(UV, U, V)
+    trace = [np.linalg.norm(residual)]
+    for batch in batches:
+        Y = Y + (residual * batch) / q
+        residual = _tangent_projection(UV - Y, U, V)
+        trace.append(np.linalg.norm(residual))
+    return Y - _tangent_projection(Y, U, V), trace

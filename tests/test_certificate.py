@@ -18,7 +18,7 @@ from pcp.certificate import (
     project_tangent_complement,
     verify_certificate,
 )
-from pcp.linalg import spectral_norm
+from pcp.linalg import ConvergenceError, spectral_norm
 from pcp.problems import (
     SupportSet,
     generate_low_rank,
@@ -30,7 +30,7 @@ from pcp.problems import (
 )
 from pcp.rng import mix_seed
 from pcp.solver import pcp_solve
-from oracles import partition_by_2d_index
+from oracles import golfing_dense, neumann_series, partition_by_2d_index
 
 
 def _subspace(n, r, seed):
@@ -272,6 +272,18 @@ def test_golfing_trace_decays_geometrically():
     assert hits >= 8
 
 
+def test_golfing_trace_matches_dense_recursion():
+    """The factored residual U A - B V^T gives the trace and W of the
+    recursion run on n x n matrices."""
+    n = 60
+    T = _subspace(n, 3, 40)
+    omega = sample_golfing_partition(n, 0.3, 5, 41)
+    W, trace = golfing_component(omega, T)
+    W_ref, trace_ref = golfing_dense(omega.partition, omega.q, T.U, T.V)
+    np.testing.assert_allclose(trace, trace_ref, rtol=0, atol=1e-12)
+    assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
+
+
 def test_golfing_output_orthogonal_to_tangent():
     n = 30
     T = _subspace(n, 1, 22)
@@ -311,6 +323,73 @@ def test_neumann_constraint_residuals():
     support_res = np.linalg.norm(project_support(W, omega) - lam * E)
     assert support_res / (lam * np.linalg.norm(E)) <= 1e-8
     assert np.linalg.norm(project_tangent(W, T)) <= 1e-10 * np.linalg.norm(W)
+
+
+def _neumann_case(n, r, rho, seed, zero_signs=False):
+    if r:
+        T = _subspace(n, r, mix_seed(seed, 1))
+    else:
+        T = TangentSubspace(U=np.zeros((n, 0)), V=np.zeros((n, 0)))
+    omega = _random_omega(n, rho, mix_seed(seed, 2))
+    E = np.zeros((n, n)) if zero_signs else random_signs_on(omega, mix_seed(seed, 3))
+    return T, omega, E, opnorm_support_tangent(omega, T)
+
+
+@pytest.mark.parametrize("r, rho, zero_signs", [
+    (2, 0.5, False), (3, 0.3, False), (0, 0.3, False), (2, 0.3, True),
+])
+def test_neumann_matches_series_oracle(r, rho, zero_signs):
+    n, lam = 60, 0.15
+    T, omega, E, sigma = _neumann_case(n, r, rho, 42, zero_signs)
+    W = neumann_component(omega, T, E, lam, support_tangent_norm=sigma)
+    ref = neumann_series(omega.mask, T.U, T.V, E, lam)
+    assert np.linalg.norm(W - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-3])
+def test_neumann_support_mismatch_within_lambda_tol(tol):
+    """P_Omega W - lambda E = -lambda P_Omega C r for the CG residual r, so
+    stopping at ||r|| < tol bounds the mismatch by lambda * tol."""
+    n, lam = 80, 0.12
+    for seed in range(3):
+        T, omega, E, sigma = _neumann_case(n, 2, 0.4, 43 + seed)
+        W = neumann_component(omega, T, E, lam, tol=tol, support_tangent_norm=sigma)
+        assert np.linalg.norm(project_support(W, omega) - lam * E) <= lam * tol
+
+
+def test_neumann_step_cap_raises(monkeypatch):
+    T, omega, E, sigma = _neumann_case(40, 2, 0.3, 44)
+    monkeypatch.setattr(pcp.certificate, "NEUMANN_MAX_TERMS", 1)
+    with pytest.raises(ConvergenceError, match="after 1 applications") as err:
+        neumann_component(omega, T, E, 0.2, support_tangent_norm=sigma)
+    assert err.value.estimate >= 1e-10
+
+
+def test_neumann_applies_project_support_once_per_application(monkeypatch):
+    """Every application of C^T P_Omega C goes through the module's
+    project_support once, and nothing else in neumann_component calls it,
+    so the project_support calls count the operator applications."""
+    support_calls, per_application = [], []
+    original_support = pcp.certificate.project_support
+    original_gram = pcp.certificate._support_tangent_gram
+
+    def counting_support(M, omega):
+        support_calls.append(1)
+        return original_support(M, omega)
+
+    def counting_gram(*args):
+        before = len(support_calls)
+        out = original_gram(*args)
+        per_application.append(len(support_calls) - before)
+        return out
+
+    T, omega, E, sigma = _neumann_case(60, 3, 0.3, 45)
+    monkeypatch.setattr(pcp.certificate, "project_support", counting_support)
+    monkeypatch.setattr(pcp.certificate, "_support_tangent_gram", counting_gram)
+    neumann_component(omega, T, E, 0.2, support_tangent_norm=sigma)
+    assert len(per_application) > 1
+    assert per_application == [1] * len(per_application)
+    assert len(support_calls) == len(per_application)
 
 
 def test_neumann_rejects_offsupport_signs():
