@@ -185,13 +185,9 @@ def _tangent_matrix(z: np.ndarray, T: TangentSubspace, out: np.ndarray) -> np.nd
 def _support_tangent_gram(
     z: np.ndarray, omega: SupportSet, T: TangentSubspace, buf: np.ndarray
 ) -> np.ndarray:
-    """M z for M = C^T P_Omega C, the operator of both opnorm_support_tangent
-    and neumann_component.
-
-    C(X, Y) = U X^T + (I - U U^T) Y V^T maps tangent coordinates (two n x r
-    blocks) onto T, with C C^T = P_T. C z is formed in ``buf`` (n x n,
-    overwritten), project_support is applied once, and C^T costs two n x r
-    products.
+    """C^T P_Omega C z, the one operator of opnorm_support_tangent and
+    neumann_component: C z is formed in ``buf`` (n x n, overwritten),
+    project_support is applied once, and C^T costs two n x r products.
     """
     return _tangent_coords(project_support(_tangent_matrix(z, T, buf), omega), T)
 
@@ -203,14 +199,14 @@ def opnorm_support_tangent(
 ) -> float:
     """||P_Omega P_T|| by Lanczos on C^T P_Omega C in tangent coordinates.
 
-    C^T P_Omega C (see _support_tangent_gram), acting on vectors of length
-    2nr, has the nonzero spectrum of P_T P_Omega P_T; its top eigenvalue,
-    found to relative tolerance tol by lanczos_top_eigenvalue, is the
-    squared norm sought. Each step applies project_support once; the
-    Lanczos basis holds vectors of length 2nr, never n x n matrices. The
-    start vector is C^T G for an n x n block G seeded from (n, r, |Omega|)
-    only: C C^T G = P_T G depends on T alone, not on its basis, so the value
-    and the step count are functions of (T, Omega).
+    C^T P_Omega C, acting on vectors of length 2nr, has the nonzero
+    spectrum of P_T P_Omega P_T; its top eigenvalue, found to relative
+    tolerance tol by lanczos_top_eigenvalue, is the squared norm sought.
+    Each step applies project_support once; the Lanczos basis holds vectors
+    of length 2nr, never n x n matrices. The start vector is C^T G for an
+    n x n block G seeded from (n, r, |Omega|) only: C C^T G = P_T G depends
+    on T alone, not on its basis, so the value and the step count are
+    functions of (T, Omega).
 
     Raises ConvergenceError (with the best norm estimate attached) at the
     step cap.
@@ -242,7 +238,7 @@ def golfing_component(omega: SupportSet, T: TangentSubspace) -> tuple:
     A = V^T - U^T Y and B = (I - U U^T) Y V; U^T B = 0 makes its norm
     sqrt(||A||_F^2 + ||B||_F^2). Each step forms the scaled residual once
     as a rank-2r product, masks it with the batch and adds it into Y in
-    place.
+    place; Y is then projected onto T-perp in place.
     """
     if omega.partition is None or omega.q is None:
         raise ValueError(
