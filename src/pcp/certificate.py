@@ -211,7 +211,7 @@ def opnorm_support_tangent(
     Raises ConvergenceError (with the best norm estimate attached) at the
     step cap.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n, r = omega.n, T.r
     if r == 0 or omega.count == 0:
@@ -293,9 +293,9 @@ def neumann_component(
     divergent.
     """
     E = ensure_matrix(E, "E")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     _check_on_support(E, omega)
     if not np.all(np.isin(E[omega.mask], (-1.0, 0.0, 1.0))):
@@ -432,7 +432,7 @@ def verify_certificate(
     """
     W = ensure_matrix(W, "W")
     E = ensure_matrix(E, "E")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     _check_shape("W", W, omega)
     _check_on_support(E, omega)

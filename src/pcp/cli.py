@@ -18,7 +18,7 @@ from typing import get_args
 import numpy as np
 
 from . import pcpm
-from .certificate import certify_instance, default_j0
+from .certificate import certify_instance
 from .harness import (
     SweepConfig,
     SweepResult,
@@ -78,10 +78,8 @@ def _cmd_certify(args) -> int:
     _check_writable(args.report)
     L0 = pcpm.load_matrix(args.l0)
     S0 = pcpm.load_matrix(args.s0)
-    n = L0.shape[0]
-    lam = lambda_from_spec(getattr(args, "lambda"), n)
-    report, _ = certify_instance(L0, S0, lam, j0=default_j0(n) if j0 is None else j0,
-                                 seed=args.seed)
+    lam = lambda_from_spec(getattr(args, "lambda"), L0.shape[0])
+    report, _ = certify_instance(L0, S0, lam, j0=j0, seed=args.seed)
     payload = report.to_dict()
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")

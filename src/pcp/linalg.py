@@ -5,7 +5,7 @@ pure; none keeps internal state, so concurrent use is safe.
 """
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -20,11 +20,10 @@ _SVT_SEED_TAG = 0x5B7B10C4
 # kept triplets, relative to max(top value, tau), that accepts the sketch
 _SVT_OVERSAMPLE = 8
 _SVT_RESIDUAL_TOL = 1e-12
-# probes bounding the discarded part: each check of the bound fails with
-# probability at most 10^-8, so at most 17 checks per svt call fail with
-# probability at most 1.7e-7 (union bound)
-_SVT_PROBES = 8
-_SVT_PROBE_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
+# gate (c): at most 64 Lanczos steps, each accepting wrongly with probability
+# at most 1.7e-7 / 64, so an svt call does with at most 1.7e-7 (union bound)
+_SVT_GATE_STEPS = 64
+_SVT_GATE_FAILURE = 1.7e-7 / _SVT_GATE_STEPS
 
 DEFAULT_TOL = 1e-8
 LANCZOS_STEP_CAP = 1000
@@ -86,7 +85,7 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     Built in one new array, copysign(max(|m| - tau, 0), m); M is not changed.
     """
     M = ensure_matrix(M)
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     out = np.abs(M)
     out -= tau
@@ -120,19 +119,18 @@ def svt(
     (b) the kept triplets are singular triplets of M to working precision,
         ||M V_r - U_r S_r||_F <= 1e-12 * max(s_1, tau) (U_r^T M = S_r V_r^T
         holds by construction); and
-    (c) eight further seeded Gaussian probes bound the spectral norm of the
-        rest, M - U_r S_r V_r^T, by tau (see _rest_at_most). Each check of
-        that bound is wrong with probability at most 1e-8, and it is checked
-        at most 17 times, so a call accepts a wrong bound with probability at
-        most 1.7e-7 (union bound).
+    (c) a seeded Lanczos run bounds the rest R = M - U_r S_r V_r^T by tau
+        (see _rest_at_most): each of its at most 64 steps accepts wrongly
+        with probability at most 1.7e-7 / 64 (Kuczynski & Wozniakowski), so a
+        call does with probability at most 1.7e-7 (union bound).
 
     (a) and (b) alone can accept a sketch that missed values above tau: a
     sketch of l columns cannot see a few values just above tau among many
     just below it, and its Ritz values, which never exceed the singular
     values they approximate, all fall below tau. (c) catches that case.
 
-    The full SVD runs instead when (a)-(c) do not hold after
-    min(16, n // (2l)) power steps, and at once when all l Ritz values
+    The full SVD runs instead when (c) fails, when (a) and (b) do not hold
+    after min(16, n // (2l)) power steps, and at once when all l Ritz values
     exceed tau (then at least l values do). The partial path is tried only
     when tau > 0 and l <= n / 10, n the smaller dimension.
 
@@ -145,7 +143,7 @@ def svt(
     whatever the start, one with 0 columns included. The full path ignores
     it.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     M = ensure_matrix(M)
     if start is not None:
@@ -176,7 +174,6 @@ def _top_triplets(
         return None
     rng = make_rng(mix_seed(_SVT_SEED_TAG, rows, cols, width))
     omega = normal_matrix(rng, cols, width, 1.0)
-    probes = normal_matrix(rng, cols, _SVT_PROBES, 1.0)
     if start is not None:
         k = min(start.shape[1], width)
         omega[:, :k] = start[:, :k]
@@ -190,85 +187,68 @@ def _top_triplets(
         MV = M @ Vt.T
         U, V = Q @ Ub[:, :r], Vt[:r].T
         if np.linalg.norm(MV[:, :r] - U * s[:r]) <= _SVT_RESIDUAL_TOL * max(s[0], tau):
-            if _rest_at_most(M, U, s[:r], V, tau, probes, power_cap):
+            if _rest_at_most(M, U, s[:r], V, tau, normal_matrix(rng, cols, 1, 1.0)):
                 return SvdResult(U=U, singular_values=s[:r] - tau, V=V)
             return None
         Q = np.linalg.qr(MV)[0]  # spans M M^T Q: M V spans M B^T with B = Q^T M
     return None
 
 
-def _rest_at_most(M, U, s, V, tau, probes, steps) -> bool:
-    """Whether ||R||_2 <= tau for R = M - U diag(s) V^T, up to probability
-    (steps + 1) * 1e-8.
+def _rest_at_most(M, U, s, V, tau, start) -> bool:
+    """Whether ||R||_2 <= tau for R = M - U diag(s) V^T, up to probability 1.7e-7.
 
-    For Gaussian probes w_1..w_p and B = (R R^T)^q R, ||B|| <= 10 sqrt(2/pi)
-    max_i ||B w_i|| except with probability 10^-p (Halko, Martinsson & Tropp,
-    Lemma 4.1), and ||B|| = ||R||^(2q+1); q grows until the bound certifies
-    ||R|| <= tau, or gives up after ``steps``. That is up to steps + 1
-    checks, each wrong with probability at most 10^-p, so a True is wrong
-    with probability at most (steps + 1) 10^-p: 1.7e-7 for p = 8 and the
-    cap steps <= 16 of svt. A probe that R or R^T stretches by more than
-    tau proves ||R|| > tau and stops at once.
+    Runs _lanczos on A = R^T R / tau^2 (R never formed) from ``start``, the
+    Gaussian column drawn after the sketch block, so uniform on the sphere in
+    direction. For such a start and exact arithmetic, which the full
+    reorthogonalization in _lanczos makes a fair model, the top Ritz value
+    theta_k of a positive semidefinite A of order n with top eigenvalue lambda obeys
+    P(theta_k < (1 - eps) lambda) <= 1.648 sqrt(n) exp(-sqrt(eps) (2k - 1))
+    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992).
+
+    After step k: theta_k > 1 proves ||R|| > tau (no Ritz value exceeds
+    lambda), so False; an exhausted Krylov space gives theta_k = lambda, so
+    True; and so does (2k - 1) sqrt(1 - theta_k) >= ln(1.648 sqrt(n) / p),
+    p = _SVT_GATE_FAILURE. That is theta_k <= 1 - eps_k for eps_k =
+    (ln(1.648 sqrt(n) / p) / (2k - 1))^2, fixed in advance: were lambda > 1,
+    theta_k < (1 - eps_k) lambda, of probability at most p. Over at most 64
+    steps the union bound gives 64 p; no verdict by then gives False.
     """
-    def rest(X):
-        return (M @ X - U @ (s[:, None] * (V.T @ X))) / tau
+    def gram(x):
+        y = M @ x - U @ (s * (V.T @ x))
+        return (M.T @ y - V @ (s * (U.T @ y))) / (tau * tau)
 
-    def rest_t(X):
-        return (M.T @ X - V @ (s[:, None] * (U.T @ X))) / tau
-
-    Y = rest(probes)
-    y_norms = np.linalg.norm(Y, axis=0)
-    for _ in range(steps):
-        if _SVT_PROBE_FACTOR * y_norms.max() <= 1.0:
-            return True
-        Z = rest_t(Y)
-        z_norms = np.linalg.norm(Z, axis=0)
-        Y = rest(Z)
-        new_norms = np.linalg.norm(Y, axis=0)
-        if (z_norms > y_norms).any() or (new_norms > z_norms).any():
+    target = math.log(1.648 * math.sqrt(M.shape[1]) / _SVT_GATE_FAILURE)
+    for k, (theta, _, exhausted) in zip(range(1, _SVT_GATE_STEPS + 1), _lanczos(gram, start)):
+        if theta > 1.0:
             return False
-        y_norms = new_norms
-    return bool(_SVT_PROBE_FACTOR * y_norms.max() <= 1.0)
+        if exhausted or (2 * k - 1) * math.sqrt(1.0 - theta) >= target:
+            return True
+    return False
 
 
-def lanczos_top_eigenvalue(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    v0: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Largest eigenvalue of a symmetric operator by Lanczos iteration.
+def _lanczos(matvec, v0) -> Iterator[Tuple[float, float, bool]]:
+    """Lanczos on a symmetric operator: step k yields (theta_k, beta_k |s_k|, exhausted).
 
     ``matvec`` applies the operator to a 1-D vector of the size of ``v0``,
-    the nonzero start vector. Every new Lanczos vector is reorthogonalized
-    against the whole basis (two Gram-Schmidt passes), so the tridiagonal
-    projection stays faithful and no spurious copies of converged Ritz
-    values appear. Stops when the Ritz residual bound beta_k * |s_k| (s_k
-    the last entry of the top Ritz vector) is at most tol * |theta|, which
-    proves an eigenvalue lies within that distance of the returned Ritz
-    value theta; or, with the exact value, once the Krylov space is
-    exhausted (beta_k ~ 0). Deterministic for fixed inputs.
-
-    Raises
-    ------
-    ConvergenceError
-        After LANCZOS_STEP_CAP steps; carries the best Ritz value.
+    the nonzero start. Each new vector is reorthogonalized against the whole
+    basis (two Gram-Schmidt passes), so no spurious copies of converged Ritz
+    values appear. theta_k is the top Ritz value; beta_k * |s_k| (s_k the
+    last entry of its Ritz vector) bounds its distance to an eigenvalue;
+    exhausted (beta_k ~ 0, or k the dimension) means theta_k is exact, and
+    the iteration ends there. Deterministic for fixed inputs.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     v0 = np.asarray(v0, dtype=np.float64).ravel()
     nv = np.linalg.norm(v0)
     if nv == 0.0:
         raise ValueError("start vector must be nonzero")
     dim = v0.size
-    steps = min(dim, LANCZOS_STEP_CAP)
     # rows: the Lanczos basis, doubled when full so memory follows the steps
     # taken; copied straight into the larger block, with no temporary half
     Q = np.empty((32, dim))
     Q[0] = v0 / nv
     # the tridiagonal projection, grown with Q; step k reads its (k+1)-block
     tri = np.zeros((32, 32))
-    theta = 0.0
-    for k in range(steps):
+    for k in range(dim):
         w = np.array(matvec(Q[k]), dtype=np.float64).ravel()  # never a view of Q
         basis = Q[: k + 1]
         h = basis @ w
@@ -279,12 +259,10 @@ def lanczos_top_eigenvalue(
         ritz, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
         theta = float(ritz[-1])
         scale = max(abs(ritz[0]), abs(theta))
-        if (
-            beta * abs(vecs[-1, -1]) <= tol * abs(theta)
-            or beta <= _EXHAUSTED_FACTOR * np.finfo(float).eps * scale
-            or k + 1 == dim
-        ):
-            return theta
+        exhausted = beta <= _EXHAUSTED_FACTOR * np.finfo(float).eps * scale or k + 1 == dim
+        yield theta, beta * abs(vecs[-1, -1]), exhausted
+        if exhausted:
+            return
         if k + 1 == Q.shape[0]:
             grown = np.empty((2 * (k + 1), dim))
             grown[: k + 1] = Q
@@ -292,6 +270,29 @@ def lanczos_top_eigenvalue(
             tri = np.pad(tri, (0, k + 1))
         Q[k + 1] = w / beta
         tri[k, k + 1] = tri[k + 1, k] = beta
+
+
+def lanczos_top_eigenvalue(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    v0: np.ndarray,
+    tol: float = DEFAULT_TOL,
+) -> float:
+    """Largest eigenvalue of a symmetric operator by Lanczos iteration.
+
+    Runs _lanczos from ``v0`` until the Ritz residual bound proves an eigenvalue
+    within tol * |theta| of the returned theta, or the Krylov space is exhausted.
+
+    Raises
+    ------
+    ConvergenceError
+        After LANCZOS_STEP_CAP steps; carries the best Ritz value.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    theta = 0.0
+    for _, (theta, bound, exhausted) in zip(range(LANCZOS_STEP_CAP), _lanczos(matvec, v0)):
+        if bound <= tol * abs(theta) or exhausted:
+            return theta
     raise ConvergenceError(
         f"Lanczos did not reach tol={tol} in {LANCZOS_STEP_CAP} steps",
         estimate=theta,
@@ -332,7 +333,7 @@ def spectral_norm(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
         If the step cap is reached; carries the best norm estimate.
     """
     M = ensure_matrix(M)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n, m = M.shape
     if n == 0 or m == 0:

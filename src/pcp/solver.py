@@ -28,8 +28,8 @@ tenth of n. The sketch is warm-started: its first columns are the previous
 L step's kept right singular vectors, padded with seeded Gaussian columns
 (Halko, Martinsson & Tropp, arXiv 0909.4061). It is accepted only when it
 passes the exactness gate of ``linalg.svt``: its first discarded value is
-at most 1/mu, the kept triplets are exact to working precision, and seeded
-probes bound the rest of the spectrum by 1/mu. Otherwise that iteration
+at most 1/mu, the kept triplets are exact to working precision, and a
+seeded Lanczos run bounds the rest by 1/mu. Otherwise that iteration
 uses the full SVD. The reported objective is the sum of the last L step's
 shrunk singular values, which is ||L||_*, plus lambda * ||S||_1.
 """

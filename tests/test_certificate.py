@@ -446,6 +446,26 @@ def test_support_arguments_must_match_the_support_shape():
         check_sign_bounds(W, omega, big, 0.1, T)
 
 
+@pytest.mark.parametrize("value", [0.0, float("nan")])
+def test_tol_and_lambda_must_be_positive(value):
+    """Zero and NaN are refused alike: the opnorm and Neumann tol, and the
+    Neumann and verify lambda."""
+    n = 20
+    T = _subspace(n, 1, 42)
+    omega = _random_omega(n, 0.3, 43)
+    sigma = opnorm_support_tangent(omega, T)
+    E = random_signs_on(omega, 44)
+    W = neumann_component(omega, T, E, lam=0.1, support_tangent_norm=sigma)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        opnorm_support_tangent(omega, T, tol=value)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        neumann_component(omega, T, E, lam=0.1, tol=value, support_tangent_norm=sigma)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        neumann_component(omega, T, E, lam=value, support_tangent_norm=sigma)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        verify_certificate(W, T, omega, E, value, support_tangent_norm=sigma)
+
+
 # ------------------------------------------------------------- verifier
 
 def test_verify_degenerate_no_corruption_passes():

@@ -88,8 +88,12 @@ def test_soft_threshold_matches_scalar_loop():
 
 
 def test_soft_threshold_rejects_negative_tau():
-    with pytest.raises(ValueError):
-        soft_threshold(np.zeros((2, 2)), -0.1)
+    """A negative or NaN threshold is refused, by shrinkage and by svt."""
+    for tau in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            soft_threshold(np.zeros((2, 2)), tau)
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            svt(np.eye(3), tau)
 
 
 @st.composite
@@ -246,6 +250,30 @@ def test_partial_svt_cluster_at_tau_falls_back(monkeypatch, above, below, start)
     got = svt(M, 1.0, rank_guess=2, start=start)
     assert calls == [(n, n)]
     _assert_matches_full_svt(got, M, 1.0)
+
+
+def test_partial_svt_rank_one_tail_below_tau(monkeypatch):
+    """One value far above tau and a tail of 60 reaching 0.95 tau: the
+    Lanczos bound on the rest proves the tail below tau, no full SVD runs."""
+    n = 200
+    M = _planted(np.concatenate([[5.0], np.linspace(0.95, 0.5, 60)]), n, 40)
+    calls = _count_full_svds(monkeypatch)
+    got = svt(M, 1.0, rank_guess=1)
+    assert calls == []
+    _assert_matches_full_svt(got, M, 1.0)
+
+
+def test_partial_svt_one_value_above_tau_in_the_rest_falls_back(monkeypatch):
+    """A value at 1.02 tau hidden among 50 at 0.99 tau, behind one value the
+    sketch finds: over 100 seeded matrices every call falls back."""
+    n = 200
+    values = np.concatenate([[5.0, 1.02], np.full(50, 0.99)])
+    calls = _count_full_svds(monkeypatch)
+    for seed in range(100):
+        M = _planted(values, n, 1000 + seed)
+        got = svt(M, 1.0, rank_guess=1)
+        assert len(calls) == seed + 1, f"seed {1000 + seed} accepted the sketch"
+        _assert_matches_full_svt(got, M, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["top", "wide", "orthogonal"])
@@ -417,8 +445,11 @@ def test_lanczos_cap_raises_with_estimate(monkeypatch):
 def test_lanczos_rejects_bad_arguments():
     with pytest.raises(ValueError):
         lanczos_top_eigenvalue(lambda v: v, np.zeros(4))
-    with pytest.raises(ValueError):
-        lanczos_top_eigenvalue(lambda v: v, np.ones(4), tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            lanczos_top_eigenvalue(lambda v: v, np.ones(4), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            spectral_norm(np.eye(4), tol=tol)
 
 
 def test_convergence_error_carries_estimate():
