@@ -119,8 +119,8 @@ def svt(
     (b) the kept triplets are singular triplets of M to working precision,
         ||M V_r - U_r S_r||_F <= 1e-12 * max(s_1, tau) (U_r^T M = S_r V_r^T
         holds by construction); and
-    (c) a seeded Lanczos run bounds the rest R = M - U_r S_r V_r^T by tau
-        (see _rest_at_most): each of its at most 64 steps accepts wrongly
+    (c) a seeded Lanczos run bounds ||R||, R = M - U_r S_r V_r^T the rest, by
+        tau (see _rest_at_most): each of its at most 64 steps accepts wrongly
         with probability at most 1.7e-7 / 64 (Kuczynski & Wozniakowski), so a
         call does with probability at most 1.7e-7 (union bound).
 

@@ -2,10 +2,10 @@
 single [C## PASS/FAIL] line with the measured quantities.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
-lines. The whole test suite takes 7-8 minutes on 2 cores (OpenBLAS), about
-370 s of it in the two full n=400 sweeps shared by criteria 7 and 8. Those
-two are marked ``slow``; `pytest -m "not slow"` leaves them out and takes
-about 75 s.
+lines. The whole test suite takes about 7 minutes on 2 cores (OpenBLAS),
+about 345 s of it in the two full n=400 sweeps shared by criteria 7 and 8.
+Those two are marked ``slow``; `pytest -m "not slow"` leaves them out and
+takes about 80 s.
 """
 
 import math
