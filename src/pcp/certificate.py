@@ -17,11 +17,14 @@ and ||P_Omega P_T|| <= 1 - eps). W is built as a sum of two parts: a golfing
 recursion handling the tangent-space conditions, and the least-squares part
 matching lambda * E on the support, the limit of a Neumann series.
 
-Both ||P_Omega P_T|| and the least-squares part run on one operator,
-C^T P_Omega C, where C maps the 2nr tangent coordinates (X, Y) onto
-U X^T + (I - U U^T) Y V^T, so C C^T = P_T: Lanczos finds its top
-eigenvalue, and conjugate gradients invert I - C^T P_Omega C in place of
-summing the series term by term.
+Every use of P_T goes through one map C and its adjoint: C sends the 2nr
+tangent coordinates (X, Y) to U X^T + (I - U U^T) Y V^T, so C C^T = P_T
+and ||C^T M|| = ||P_T M||_F. project_tangent is C C^T, the golfing
+residual is kept as C^T(U V^T - Y), and verify_certificate measures
+||P_T W||_F as ||C^T W||. Both ||P_Omega P_T|| and the least-squares part
+run on the operator C^T P_Omega C: Lanczos finds its top eigenvalue, and
+conjugate gradients invert I - C^T P_Omega C in place of summing the
+series term by term.
 """
 
 import dataclasses
@@ -118,17 +121,9 @@ class TangentSubspace:
 
 
 def project_tangent(M: np.ndarray, T: TangentSubspace) -> np.ndarray:
-    """Orthogonal projection U U^T M + M V V^T - U U^T M V V^T onto T.
-
-    Formed as one rank-2r product [U, (I - U U^T) M V] [U^T M; V^T], so the
-    only n x n array written is the result.
-    """
-    if T.r == 0:
-        return np.zeros_like(np.asarray(M, dtype=float))
-    U, V = T.U, T.V
-    UtM = U.T @ M
-    MV = M @ V
-    return np.hstack([U, MV - U @ (UtM @ V)]) @ np.vstack([UtM, V.T])
+    """Orthogonal projection U U^T M + M V V^T - U U^T M V V^T onto T,
+    formed as C C^T M (see _tangent_coords and _tangent_matrix)."""
+    return _tangent_matrix(_tangent_coords(M, T), T)
 
 
 def project_tangent_complement(M: np.ndarray, T: TangentSubspace) -> np.ndarray:
@@ -171,12 +166,14 @@ def _perp(Y: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def _tangent_coords(Z: np.ndarray, T: TangentSubspace) -> np.ndarray:
     """C^T Z = (Z^T U, (I - U U^T) Z V), flattened to length 2nr."""
-    return np.concatenate([(Z.T @ T.U).ravel(), _perp(Z @ T.V, T.U).ravel()])
+    return np.concatenate([(T.U.T @ Z).T.ravel(), _perp(Z @ T.V, T.U).ravel()])
 
 
-def _tangent_matrix(z: np.ndarray, T: TangentSubspace, out: np.ndarray) -> np.ndarray:
+def _tangent_matrix(
+    z: np.ndarray, T: TangentSubspace, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """C z = U X^T + (I - U U^T) Y V^T for z = (X, Y), flattened n x r
-    blocks, written into ``out`` as one rank-2r product."""
+    blocks, as one rank-2r product (written into ``out`` when given)."""
     n, r = T.U.shape
     X, Y = z[: n * r].reshape(n, r), z[n * r :].reshape(n, r)
     return np.matmul(np.hstack([T.U, _perp(Y, T.U)]), np.hstack([X, T.V]).T, out=out)
@@ -201,7 +198,7 @@ def opnorm_support_tangent(
 
     C^T P_Omega C, acting on vectors of length 2nr, has the nonzero
     spectrum of P_T P_Omega P_T; its top eigenvalue, found to relative
-    tolerance tol by lanczos_top_eigenvalue, is the squared norm sought.
+    tolerance tol by sqrt_top_eigenvalue, is the squared norm sought.
     Each step applies project_support once; the Lanczos basis holds vectors
     of length 2nr, never n x n matrices. The start vector is C^T G for an
     n x n block G seeded from (n, r, |Omega|) only: C C^T G = P_T G depends
@@ -234,30 +231,28 @@ def golfing_component(omega: SupportSet, T: TangentSubspace) -> tuple:
     (P_Tperp Y_j0, trace), where trace[j] = ||P_T(U V^T - Y_j)||_F for
     j = 0..j0. The trace exposes the per-step residual decay.
 
-    The residual is carried in factors, P_T(U V^T - Y) = U A - B V^T with
-    A = V^T - U^T Y and B = (I - U U^T) Y V; U^T B = 0 makes its norm
-    sqrt(||A||_F^2 + ||B||_F^2). Each step forms the scaled residual once
-    as a rank-2r product, masks it with the batch and adds it into Y in
-    place; Y is then projected onto T-perp in place.
+    The residual is carried in tangent coordinates, z = C^T(U V^T - Y),
+    from z_0 = (V, 0): each step forms C(z / q), masks it with the batch
+    and adds it into Y in place, then sets z = z_0 - C^T Y. As
+    ||P_T X||_F = ||C^T X||, trace[j] is ||z||. Y is then projected onto
+    T-perp in place.
     """
     if omega.partition is None or omega.q is None:
         raise ValueError(
             "omega must carry a golfing partition "
             "(see sample_golfing_partition or partition_support_complement)"
         )
-    U, V = T.U, T.V
-    inv_q = 1.0 / omega.q
+    z0 = np.concatenate([T.V.ravel(), np.zeros(T.U.size)])
+    z = z0
     Y = np.zeros((omega.n, omega.n))
     step = np.empty_like(Y)
-    A, B = V.T, np.zeros_like(U)
-    trace = [math.hypot(np.linalg.norm(A), np.linalg.norm(B))]
+    trace = [float(np.linalg.norm(z))]
     for batch in omega.partition:
-        np.matmul(np.hstack([inv_q * U, -inv_q * B]), np.vstack([A, V.T]), out=step)
+        _tangent_matrix(z / omega.q, T, step)
         step *= batch
         Y += step
-        A = V.T - U.T @ Y
-        B = _perp(Y @ V, U)
-        trace.append(math.hypot(np.linalg.norm(A), np.linalg.norm(B)))
+        z = z0 - _tangent_coords(Y, T)
+        trace.append(float(np.linalg.norm(z)))
     Y -= project_tangent(Y, T)
     return Y, trace
 
@@ -290,7 +285,7 @@ def neumann_component(
     ``support_tangent_norm`` is sigma = ||P_Omega P_T||, the caller's one
     opnorm_support_tangent value. The series requires sigma < 1 (so that
     I - M is positive definite); values within 1e-6 of 1 are refused as
-    divergent.
+    divergent, and NaN or negative values as no norm at all.
     """
     E = ensure_matrix(E, "E")
     if not lam > 0:
@@ -301,6 +296,10 @@ def neumann_component(
     if not np.all(np.isin(E[omega.mask], (-1.0, 0.0, 1.0))):
         raise ValueError("E entries must be -1, 0, or +1")
 
+    if not 0.0 <= support_tangent_norm:
+        raise ValueError(
+            f"||P_Omega P_T|| must be a nonnegative number, got {support_tangent_norm}"
+        )
     if support_tangent_norm >= 1.0 - 1e-6:
         raise ValueError(
             f"||P_Omega P_T|| = {support_tangent_norm:.8f} is too close to 1; "
@@ -443,7 +442,7 @@ def verify_certificate(
         raise ValueError(f"eps = 1 - ||P_Omega P_T|| must lie in (0, 1], got {eps}")
 
     w_fro = float(np.linalg.norm(W))
-    pt_w_norm = float(np.linalg.norm(project_tangent(W, T)))
+    pt_w_norm = float(np.linalg.norm(_tangent_coords(W, T)))
     w_spectral = spectral_norm(W)
     # E vanishes off Omega, so the off-support part of G - lam E is that of G
     omega_residual, omega_perp_inf = _support_norms(T.uv() + W - lam * E, omega)
@@ -484,11 +483,14 @@ def check_golfing_bounds(
 
     ``support_tangent_norm`` is sigma, the caller's one
     opnorm_support_tangent value: the measured ||P_Omega P_T||, not an
-    assumed concentration value, so the checks certify the instance at hand.
+    assumed concentration value, so the checks certify the instance at hand;
+    NaN or a negative value raises ValueError.
     """
     W_L = ensure_matrix(W_L, "W_L")
     _check_shape("W_L", W_L, omega)
     sigma = support_tangent_norm
+    if not 0.0 <= sigma:
+        raise ValueError(f"||P_Omega P_T|| must be a nonnegative number, got {sigma}")
     w_spec = spectral_norm(W_L)
     support_residual, off_inf = _support_norms(T.uv() + W_L, omega)
     return GolfingBounds(

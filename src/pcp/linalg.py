@@ -272,33 +272,6 @@ def _lanczos(matvec, v0) -> Iterator[Tuple[float, float, bool]]:
         tri[k, k + 1] = tri[k + 1, k] = beta
 
 
-def lanczos_top_eigenvalue(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    v0: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Largest eigenvalue of a symmetric operator by Lanczos iteration.
-
-    Runs _lanczos from ``v0`` until the Ritz residual bound proves an eigenvalue
-    within tol * |theta| of the returned theta, or the Krylov space is exhausted.
-
-    Raises
-    ------
-    ConvergenceError
-        After LANCZOS_STEP_CAP steps; carries the best Ritz value.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    theta = 0.0
-    for _, (theta, bound, exhausted) in zip(range(LANCZOS_STEP_CAP), _lanczos(matvec, v0)):
-        if bound <= tol * abs(theta) or exhausted:
-            return theta
-    raise ConvergenceError(
-        f"Lanczos did not reach tol={tol} in {LANCZOS_STEP_CAP} steps",
-        estimate=theta,
-    )
-
-
 def sqrt_top_eigenvalue(
     gram_matvec: Callable[[np.ndarray], np.ndarray],
     v0: np.ndarray,
@@ -306,16 +279,27 @@ def sqrt_top_eigenvalue(
 ) -> float:
     """Operator norm ||A|| from the matvec of the Gram operator A^T A.
 
-    The square root of lanczos_top_eigenvalue, clamped at 0 against
-    round-off; a ConvergenceError carries the square root of its estimate.
+    Runs _lanczos from ``v0`` until the Ritz residual bound proves an
+    eigenvalue of A^T A within tol * |theta| of the top Ritz value theta, or
+    the Krylov space is exhausted, and returns sqrt(max(theta, 0)), clamped
+    at 0 against round-off.
+
+    Raises
+    ------
+    ConvergenceError
+        After LANCZOS_STEP_CAP steps; carries the square root of the best
+        Ritz value.
     """
-    try:
-        top = lanczos_top_eigenvalue(gram_matvec, v0, tol)
-    except ConvergenceError as err:
-        raise ConvergenceError(
-            str(err), estimate=math.sqrt(max(err.estimate, 0.0))
-        ) from None
-    return math.sqrt(max(top, 0.0))
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    theta = 0.0
+    for _, (theta, bound, exhausted) in zip(range(LANCZOS_STEP_CAP), _lanczos(gram_matvec, v0)):
+        if bound <= tol * abs(theta) or exhausted:
+            return math.sqrt(max(theta, 0.0))
+    raise ConvergenceError(
+        f"Lanczos did not reach tol={tol} in {LANCZOS_STEP_CAP} steps",
+        estimate=math.sqrt(max(theta, 0.0)),
+    )
 
 
 def spectral_norm(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -323,7 +307,7 @@ def spectral_norm(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
 
     The start vector is a fixed pseudo-random vector seeded only from the
     matrix dimensions, so repeated calls on equal inputs return identical
-    values. The Lanczos stop (see lanczos_top_eigenvalue) proves an
+    values. The Lanczos stop (see sqrt_top_eigenvalue) proves an
     eigenvalue of M^T M within relative distance tol of the square of the
     returned value.
 

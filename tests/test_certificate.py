@@ -273,8 +273,8 @@ def test_golfing_trace_decays_geometrically():
 
 
 def test_golfing_trace_matches_dense_recursion():
-    """The factored residual U A - B V^T gives the trace and W of the
-    recursion run on n x n matrices."""
+    """The residual kept in tangent coordinates, C^T(U V^T - Y), gives the
+    trace and W of the recursion run on n x n matrices."""
     n = 60
     T = _subspace(n, 3, 40)
     omega = sample_golfing_partition(n, 0.3, 5, 41)
@@ -403,7 +403,8 @@ def test_neumann_rejects_offsupport_signs():
 
 
 def test_neumann_rejects_divergent_series():
-    # full support makes ||P_Omega P_T|| = 1: series refused
+    # full support makes ||P_Omega P_T|| = 1: series refused; NaN and a
+    # negative value are no norm at all
     n = 12
     T = _subspace(n, 2, 29)
     omega = _full_omega(n)
@@ -411,6 +412,9 @@ def test_neumann_rejects_divergent_series():
     sigma = opnorm_support_tangent(omega, T)
     with pytest.raises(ValueError, match="too close to 1"):
         neumann_component(omega, T, E, lam=0.1, support_tangent_norm=sigma)
+    for bad in (float("nan"), -0.5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            neumann_component(omega, T, E, lam=0.1, support_tangent_norm=bad)
 
 
 def test_neumann_rejects_noninteger_signs():
@@ -565,6 +569,15 @@ def test_golfing_bounds_fail_when_scaled():
     sigma = opnorm_support_tangent(omega, T)
     res = check_golfing_bounds(W * 1e6, T, omega, lam=0.05, support_tangent_norm=sigma)
     assert not res.a_ok
+
+
+def test_golfing_bounds_reject_nan_or_negative_sigma():
+    n = 20
+    T = _subspace(n, 1, 36)
+    omega = _random_omega(n, 0.3, 37)
+    for sigma in (float("nan"), -0.5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_golfing_bounds(np.zeros((n, n)), T, omega, lam=0.1, support_tangent_norm=sigma)
 
 
 def test_sign_bounds_zero_signs():

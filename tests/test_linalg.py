@@ -8,9 +8,9 @@ import pcp.linalg
 from pcp.linalg import (
     ConvergenceError,
     ensure_matrix,
-    lanczos_top_eigenvalue,
     soft_threshold,
     spectral_norm,
+    sqrt_top_eigenvalue,
     svd,
     svt,
 )
@@ -234,10 +234,11 @@ def test_partial_svt_cluster_at_tau_falls_back(monkeypatch, above, below, start)
     """Values 0.1% above and below tau: the sketch cannot tell them apart.
 
     With (3, 50), the sketch's Ritz values all land below tau and its top
-    triplet converges, so only the probe bound on the discarded part keeps
-    the partial path from dropping the three values above tau. A warm start
-    from the top singular vector (as pcp_solve would give after an L step
-    that kept one triplet) or from a random block falls back the same way.
+    triplet converges, so only gate (c), the Lanczos bound on the discarded
+    part, keeps the partial path from dropping the three values above tau.
+    A warm start from the top singular vector (as pcp_solve would give after
+    an L step that kept one triplet) or from a random block falls back the
+    same way.
     """
     n = 200
     values = np.concatenate([[5.0], np.full(above, 1.001), np.full(below, 0.999)])
@@ -402,7 +403,7 @@ def test_lanczos_matches_eigvalsh():
     for n, seed in ((5, 30), (40, 31), (120, 32)):
         A = _psd(n, seed)
         v0 = _rand(n, 1, seed + 100).ravel()
-        got = lanczos_top_eigenvalue(lambda v: A @ v, v0, tol=1e-10)
+        got = sqrt_top_eigenvalue(lambda v: A @ v, v0, tol=1e-10) ** 2
         want = np.linalg.eigvalsh(A)[-1]
         assert abs(got - want) <= 1e-10 * want
 
@@ -417,19 +418,19 @@ def test_lanczos_low_rank_operator_exhausts_early():
         calls.append(1)
         return A @ v
 
-    got = lanczos_top_eigenvalue(matvec, np.ones(60), tol=1e-12)
+    got = sqrt_top_eigenvalue(matvec, np.ones(60), tol=1e-12) ** 2
     assert abs(got - np.linalg.eigvalsh(A)[-1]) <= 1e-12 * got
     assert len(calls) <= 4
 
 
 def test_lanczos_zero_operator():
-    assert lanczos_top_eigenvalue(np.zeros_like, np.ones(7)) == 0.0
+    assert sqrt_top_eigenvalue(np.zeros_like, np.ones(7)) == 0.0
 
 
 def test_lanczos_repeats_bitwise():
     A = _psd(80, 34)
     v0 = _rand(80, 1, 35).ravel()
-    runs = [lanczos_top_eigenvalue(lambda v: A @ v, v0.copy()) for _ in range(3)]
+    runs = [sqrt_top_eigenvalue(lambda v: A @ v, v0.copy()) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -437,17 +438,17 @@ def test_lanczos_cap_raises_with_estimate(monkeypatch):
     monkeypatch.setattr(pcp.linalg, "LANCZOS_STEP_CAP", 3)
     A = _psd(50, 36)
     with pytest.raises(ConvergenceError) as info:
-        lanczos_top_eigenvalue(lambda v: A @ v, np.ones(50), tol=1e-12)
+        sqrt_top_eigenvalue(lambda v: A @ v, np.ones(50), tol=1e-12)
     top = np.linalg.eigvalsh(A)[-1]
-    assert 0.0 < info.value.estimate <= top * (1 + 1e-12)
+    assert 0.0 < info.value.estimate ** 2 <= top * (1 + 1e-12)
 
 
 def test_lanczos_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        lanczos_top_eigenvalue(lambda v: v, np.zeros(4))
+        sqrt_top_eigenvalue(lambda v: v, np.zeros(4))
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
-            lanczos_top_eigenvalue(lambda v: v, np.ones(4), tol=tol)
+            sqrt_top_eigenvalue(lambda v: v, np.ones(4), tol=tol)
         with pytest.raises(ValueError, match="tol must be positive"):
             spectral_norm(np.eye(4), tol=tol)
 
