@@ -24,7 +24,9 @@ residual is kept as C^T(U V^T - Y), and verify_certificate measures
 ||P_T W||_F as ||C^T W||. Both ||P_Omega P_T|| and the least-squares part
 run on the operator C^T P_Omega C: Lanczos finds its top eigenvalue, and
 conjugate gradients invert I - C^T P_Omega C in place of summing the
-series term by term.
+series term by term, and prove from their own curvature when sigma =
+||P_Omega P_T|| is too close to 1 for that. verify_certificate and
+check_golfing_bounds, the only readers of sigma, require 0 <= sigma < 1.
 """
 
 import dataclasses
@@ -54,6 +56,8 @@ RANK_TOL = 1e-8
 ALPHA = 0.9
 # cap on the applications of C^T P_Omega C in neumann_component
 NEUMANN_MAX_TERMS = 1000
+# a CG curvature ratio d.(I - M)d / d.d this low proves sigma >= 1 - 1e-6
+_NEUMANN_MIN_CURVATURE = 1.0 - (1.0 - 1e-6) ** 2
 
 
 def low_rank_factors(L: np.ndarray, r: Optional[int] = None) -> tuple:
@@ -157,6 +161,13 @@ def _check_on_support(E: np.ndarray, omega: SupportSet) -> None:
     _check_shape("E", E, omega)
     if np.any(E[~omega.mask]):
         raise ValueError("E has entries outside the support set")
+
+
+def _check_sigma(sigma: float) -> float:
+    """sigma = ||P_Omega P_T|| as given: a norm (not NaN, not negative) below 1."""
+    if not 0.0 <= sigma < 1.0:
+        raise ValueError(f"||P_Omega P_T|| must be a nonnegative number below 1, got {sigma}")
+    return sigma
 
 
 def _perp(Y: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -263,8 +274,6 @@ def neumann_component(
     E: np.ndarray,
     lam: float,
     tol: float = 1e-10,
-    *,
-    support_tangent_norm: float,
 ) -> np.ndarray:
     """Least-squares certificate part: the limit of the Neumann series
     lambda * P_Tperp sum_k (P_Omega P_T P_Omega)^k E, by conjugate gradients.
@@ -281,11 +290,13 @@ def neumann_component(
     NEUMANN_MAX_TERMS applications of M it raises ConvergenceError carrying
     ||r||. The result satisfies P_T W = 0 up to round-off.
 
+    The series needs sigma = ||P_Omega P_T|| < 1: the least eigenvalue of
+    I - M is 1 - sigma^2. Each CG step forms the curvature d.(I - M)d of its
+    direction d; d.(I - M)d / d.d, a Rayleigh quotient, bounds 1 - sigma^2
+    from above, so once it is at most 1 - (1 - 1e-6)^2 (about 2e-6),
+    sigma >= 1 - 1e-6 is proven and ValueError is raised.
+
     E must be supported on Omega with entries in {-1, 0, +1}.
-    ``support_tangent_norm`` is sigma = ||P_Omega P_T||, the caller's one
-    opnorm_support_tangent value. The series requires sigma < 1 (so that
-    I - M is positive definite); values within 1e-6 of 1 are refused as
-    divergent, and NaN or negative values as no norm at all.
     """
     E = ensure_matrix(E, "E")
     if not lam > 0:
@@ -295,16 +306,6 @@ def neumann_component(
     _check_on_support(E, omega)
     if not np.all(np.isin(E[omega.mask], (-1.0, 0.0, 1.0))):
         raise ValueError("E entries must be -1, 0, or +1")
-
-    if not 0.0 <= support_tangent_norm:
-        raise ValueError(
-            f"||P_Omega P_T|| must be a nonnegative number, got {support_tangent_norm}"
-        )
-    if support_tangent_norm >= 1.0 - 1e-6:
-        raise ValueError(
-            f"||P_Omega P_T|| = {support_tangent_norm:.8f} is too close to 1; "
-            "Neumann series diverges"
-        )
 
     buf = np.empty_like(E)
     residual = _tangent_coords(E, T)
@@ -321,7 +322,11 @@ def neumann_component(
             )
         applications += 1
         image = direction - _support_tangent_gram(direction, omega, T, buf)
-        step = rr / float(direction @ image)
+        curvature, norm2 = float(direction @ image), float(direction @ direction)
+        if curvature <= _NEUMANN_MIN_CURVATURE * norm2:
+            raise ValueError(f"CG curvature ratio {curvature / norm2:.3e} proves ||P_Omega P_T|| "
+                             ">= 1 - 1e-6, too close to 1; Neumann series diverges")
+        step = rr / curvature
         x += step * direction
         residual -= step * image
         rr, rr_prev = float(residual @ residual), rr
@@ -339,7 +344,7 @@ def neumann_component(
 class GolfingBounds:
     """Measured values and pass flags of the golfing-part bound checks."""
 
-    w_spectral: float
+    w_l_spectral: float
     support_residual: float
     off_support_inf: float
     sigma: float
@@ -352,7 +357,7 @@ class GolfingBounds:
 class SignBounds:
     """Measured values and pass flags of the sign (Neumann) part checks."""
 
-    w_spectral: float
+    w_s_spectral: float
     off_support_inf: float
     e_spectral: float
     tail_spectral: float
@@ -362,29 +367,13 @@ class SignBounds:
     tail_ok: bool
 
 
-# JSON keys that differ from the report's field names, by dotted field path
-_JSON_NAMES = {
-    "lam": "lambda",
-    "wl_checks.w_spectral": "w_l_spectral",
-    "ws_checks.w_spectral": "w_s_spectral",
-}
-
-
-def _json_fields(fields: dict, prefix: str = "") -> dict:
-    return {
-        _JSON_NAMES.get(prefix + key, key):
-            _json_fields(value, f"{key}.") if isinstance(value, dict) else value
-        for key, value in fields.items()
-        if value is not None
-    }
-
-
 @dataclass
 class CertificateReport:
     """Numerical evaluation of the four optimality conditions for W.
 
-    Fields are listed in the order of the JSON report; a part check that
-    was not run (None) is left out of it.
+    Fields are the keys of the JSON report, in its order, except ``lam``,
+    written as ``lambda`` (a Python keyword); a part check that was not run
+    (None) is left out of it.
     """
 
     pt_w_norm: float
@@ -406,7 +395,8 @@ class CertificateReport:
     ws_checks: Optional[SignBounds] = None
 
     def to_dict(self) -> dict:
-        return _json_fields(dataclasses.asdict(self))
+        return {"lambda" if key == "lam" else key: value
+                for key, value in dataclasses.asdict(self).items() if value is not None}
 
 
 def verify_certificate(
@@ -424,8 +414,9 @@ def verify_certificate(
     tested as ||P_T W||_F <= 1e-8 * ||W||_F; alpha is ALPHA); the hypothesis
     flags lambda < 1 - alpha and ||P_Omega P_T|| <= 1 - eps are reported
     separately. ``support_tangent_norm`` is sigma = ||P_Omega P_T||, the
-    caller's one opnorm_support_tangent value, and eps is 1 - sigma, the
-    loosest admissible choice, so the second flag holds by construction.
+    caller's one opnorm_support_tangent value, with 0 <= sigma < 1, and eps
+    is 1 - sigma, the loosest admissible choice, so the second flag holds by
+    construction.
     W and E must have the support's shape, and E, the corruption sign
     matrix, must be supported on Omega.
     """
@@ -436,10 +427,8 @@ def verify_certificate(
     _check_shape("W", W, omega)
     _check_on_support(E, omega)
 
-    sigma = support_tangent_norm
+    sigma = _check_sigma(support_tangent_norm)
     eps = 1.0 - sigma
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps = 1 - ||P_Omega P_T|| must lie in (0, 1], got {eps}")
 
     w_fro = float(np.linalg.norm(W))
     pt_w_norm = float(np.linalg.norm(_tangent_coords(W, T)))
@@ -484,17 +473,15 @@ def check_golfing_bounds(
     ``support_tangent_norm`` is sigma, the caller's one
     opnorm_support_tangent value: the measured ||P_Omega P_T||, not an
     assumed concentration value, so the checks certify the instance at hand;
-    NaN or a negative value raises ValueError.
+    as in verify_certificate, it must satisfy 0 <= sigma < 1.
     """
     W_L = ensure_matrix(W_L, "W_L")
     _check_shape("W_L", W_L, omega)
-    sigma = support_tangent_norm
-    if not 0.0 <= sigma:
-        raise ValueError(f"||P_Omega P_T|| must be a nonnegative number, got {sigma}")
+    sigma = _check_sigma(support_tangent_norm)
     w_spec = spectral_norm(W_L)
     support_residual, off_inf = _support_norms(T.uv() + W_L, omega)
     return GolfingBounds(
-        w_spectral=w_spec, support_residual=support_residual,
+        w_l_spectral=w_spec, support_residual=support_residual,
         off_support_inf=off_inf, sigma=sigma, a_ok=w_spec < 0.1,
         b_ok=support_residual < lam * (1.0 - sigma) ** 2, c_ok=off_inf < lam / 4.0,
     )
@@ -529,7 +516,7 @@ def check_sign_bounds(
     e_spec = spectral_norm(E)
     tail_spec = spectral_norm(W_S / lam - project_tangent_complement(E, T))
     return SignBounds(
-        w_spectral=w_spec, off_support_inf=off_inf, e_spectral=e_spec,
+        w_s_spectral=w_spec, off_support_inf=off_inf, e_spectral=e_spec,
         tail_spectral=tail_spec, a_ok=w_spec < 0.8, b_ok=off_inf < lam / 4.0,
         e_norm_ok=e_spec <= 4.0 * math.sqrt(n * rho),
         tail_ok=tail_spec <= 2.25 * math.sqrt(rho * n / (1.0 - rho)),
@@ -607,7 +594,7 @@ def certify_instance(
     omega_part = partition_support_complement(omega, j0, seed)
     sigma = opnorm_support_tangent(omega_part, T)
     W_L, _ = golfing_component(omega_part, T)
-    W_S = neumann_component(omega_part, T, E, lam, support_tangent_norm=sigma)
+    W_S = neumann_component(omega_part, T, E, lam)
     W = W_L + W_S
     report = verify_certificate(W, T, omega_part, E, lam, support_tangent_norm=sigma)
     report.wl_checks = check_golfing_bounds(

@@ -28,6 +28,7 @@ from .harness import (
     run_sweep,
     write_sidecar,
 )
+from .linalg import ConvergenceError
 from .problems import SupportModel, lambda_from_spec, make_instance
 from .solver import SolverConfig, pcp_solve
 
@@ -165,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the pursuit solver")
     solve.add_argument("--d", required=True)
     solve.add_argument("--lambda", required=True, help=LAMBDA_HELP)
-    solve.add_argument("--tol", type=float, default=1e-7)
-    solve.add_argument("--max-iters", type=int, default=1000)
+    solve.add_argument("--tol", type=float, default=SolverConfig.tol_feasibility)
+    solve.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     solve.add_argument("--out-l")
     solve.add_argument("--out-s")
     solve.add_argument("--report")
@@ -198,7 +199,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

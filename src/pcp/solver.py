@@ -13,6 +13,9 @@ grows the penalty:
 
 with Y0 = D / max(||D||_2, ||D||_inf / lambda) and mu0 = 1.25/||D||_2,
 stopping on the relative feasibility residual ||D - L - S||_F / ||D||_F.
+At the stop it also reports the dual residual mu ||S_K - S_{K-1}||_F /
+||D||_F of the last iteration, which says whether the feasible point it
+stopped at is also near optimal.
 
 Each iteration forms Z = D + Y/mu once, in a buffer allocated before the
 loop. The L-step input Z - S goes to a scratch buffer, L is reconstructed
@@ -68,12 +71,22 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
+    """The last iterate and how the solve stopped.
+
+    ``feasibility_residual`` is the primal residual ||D - L - S||_F / ||D||_F
+    and ``dual_residual`` the dual one, mu ||S_K - S_{K-1}||_F / ||D||_F at
+    the last iteration K with its penalty mu (Boyd et al. 2011, section
+    3.3); both are 0.0 when D = 0. A small primal residual with a large dual
+    one marks a feasible point that is not yet optimal.
+    """
+
     L_hat: np.ndarray = field(repr=False)
     S_hat: np.ndarray = field(repr=False)
     iterations: int
     feasibility_residual: float
     objective: float
     converged: bool
+    dual_residual: float
 
 
 def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> SolveResult:
@@ -86,8 +99,8 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
     cfg : schedule constants; defaults are sized for desk-scale matrices
 
     Returns the final iterate, with converged=False when the feasibility
-    tolerance was not met within cfg.max_iters; its residual and objective
-    are reported either way.
+    tolerance was not met within cfg.max_iters; its primal and dual
+    residuals and objective are reported either way (see SolveResult).
     """
     D = ensure_matrix(D, "D")
     if D.shape[0] != D.shape[1]:
@@ -102,7 +115,7 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
         zero = np.zeros_like(D)
         return SolveResult(
             L_hat=zero, S_hat=zero.copy(), iterations=0,
-            feasibility_residual=0.0, objective=0.0, converged=True,
+            feasibility_residual=0.0, objective=0.0, converged=True, dual_residual=0.0,
         )
 
     try:
@@ -122,9 +135,6 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
     work = np.empty_like(D)
     rank = 0
     start = None
-    residual = 1.0
-    converged = False
-    iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         np.divide(Y, mu, out=Z)
         Z += D                                    # Z = D + Y / mu
@@ -133,21 +143,25 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
         rank, start = shrunk.singular_values.size, shrunk.V
         shrunk.reconstruct(out=L)
         Z -= L
-        S = soft_threshold(Z, lam / mu)
+        S_prev, S = S, soft_threshold(Z, lam / mu)
         np.subtract(D, L, out=work)
         work -= S                                 # the gap D - L - S
         residual = float(np.linalg.norm(work)) / d_fro
         work *= mu
         Y += work
-        mu = min(cfg.rho_mu * mu, mu_max)
-        if residual <= cfg.tol_feasibility:
-            converged = True
+        converged = residual <= cfg.tol_feasibility
+        if converged or iterations == cfg.max_iters:
             break
+        del S_prev  # the next svt runs without it
+        mu = min(cfg.rho_mu * mu, mu_max)
 
+    np.subtract(S, S_prev, out=work)
+    del S_prev  # not to be alive beside the |S| temporary below
+    dual_residual = mu * float(np.linalg.norm(work)) / d_fro
     objective = float(shrunk.singular_values.sum() + lam * np.abs(S).sum())
     return SolveResult(
-        L_hat=L, S_hat=S, iterations=iterations,
-        feasibility_residual=residual, objective=objective, converged=converged,
+        L_hat=L, S_hat=S, iterations=iterations, feasibility_residual=residual,
+        objective=objective, converged=converged, dual_residual=dual_residual,
     )
 
 

@@ -271,9 +271,7 @@ def test_c06_certificate_end_to_end():
         E = random_signs_on(omega, mix_seed(606, seed, 3))
         sigma = opnorm_support_tangent(omega, T)
         W_L, _ = golfing_component(omega, T)
-        W_S = neumann_component(
-            omega, T, E, lam, tol=1e-10, support_tangent_norm=sigma
-        )
+        W_S = neumann_component(omega, T, E, lam, tol=1e-10)
         rep = verify_certificate(
             W_L + W_S, T, omega, E, lam, support_tangent_norm=sigma
         )

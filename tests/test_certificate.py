@@ -299,16 +299,14 @@ def test_neumann_rank_zero_gives_scaled_signs():
     T0 = TangentSubspace(U=np.zeros((n, 0)), V=np.zeros((n, 0)))
     omega = _random_omega(n, 0.3, 24)
     E = random_signs_on(omega, 25)
-    sigma = opnorm_support_tangent(omega, T0)
-    W = neumann_component(omega, T0, E, lam=0.2, support_tangent_norm=sigma)
+    W = neumann_component(omega, T0, E, lam=0.2)
     np.testing.assert_allclose(W, 0.2 * E, atol=1e-14)
 
 
 def test_neumann_zero_signs():
     T = _subspace(12, 1, 26)
     omega = _random_omega(12, 0.3, 27)
-    sigma = opnorm_support_tangent(omega, T)
-    W = neumann_component(omega, T, np.zeros((12, 12)), lam=0.5, support_tangent_norm=sigma)
+    W = neumann_component(omega, T, np.zeros((12, 12)), lam=0.5)
     np.testing.assert_array_equal(W, np.zeros((12, 12)))
 
 
@@ -318,8 +316,7 @@ def test_neumann_constraint_residuals():
     T = _subspace(n, r, mix_seed(0, 1))
     omega = sample_golfing_partition(n, rho, 10, mix_seed(0, 2))
     E = random_signs_on(omega, mix_seed(0, 3))
-    sigma = opnorm_support_tangent(omega, T)
-    W = neumann_component(omega, T, E, lam, tol=1e-10, support_tangent_norm=sigma)
+    W = neumann_component(omega, T, E, lam, tol=1e-10)
     support_res = np.linalg.norm(project_support(W, omega) - lam * E)
     assert support_res / (lam * np.linalg.norm(E)) <= 1e-8
     assert np.linalg.norm(project_tangent(W, T)) <= 1e-10 * np.linalg.norm(W)
@@ -332,7 +329,7 @@ def _neumann_case(n, r, rho, seed, zero_signs=False):
         T = TangentSubspace(U=np.zeros((n, 0)), V=np.zeros((n, 0)))
     omega = _random_omega(n, rho, mix_seed(seed, 2))
     E = np.zeros((n, n)) if zero_signs else random_signs_on(omega, mix_seed(seed, 3))
-    return T, omega, E, opnorm_support_tangent(omega, T)
+    return T, omega, E
 
 
 @pytest.mark.parametrize("r, rho, zero_signs", [
@@ -340,8 +337,8 @@ def _neumann_case(n, r, rho, seed, zero_signs=False):
 ])
 def test_neumann_matches_series_oracle(r, rho, zero_signs):
     n, lam = 60, 0.15
-    T, omega, E, sigma = _neumann_case(n, r, rho, 42, zero_signs)
-    W = neumann_component(omega, T, E, lam, support_tangent_norm=sigma)
+    T, omega, E = _neumann_case(n, r, rho, 42, zero_signs)
+    W = neumann_component(omega, T, E, lam)
     ref = neumann_series(omega.mask, T.U, T.V, E, lam)
     assert np.linalg.norm(W - ref) <= 1e-9 * np.linalg.norm(ref)
 
@@ -352,16 +349,16 @@ def test_neumann_support_mismatch_within_lambda_tol(tol):
     stopping at ||r|| < tol bounds the mismatch by lambda * tol."""
     n, lam = 80, 0.12
     for seed in range(3):
-        T, omega, E, sigma = _neumann_case(n, 2, 0.4, 43 + seed)
-        W = neumann_component(omega, T, E, lam, tol=tol, support_tangent_norm=sigma)
+        T, omega, E = _neumann_case(n, 2, 0.4, 43 + seed)
+        W = neumann_component(omega, T, E, lam, tol=tol)
         assert np.linalg.norm(project_support(W, omega) - lam * E) <= lam * tol
 
 
 def test_neumann_step_cap_raises(monkeypatch):
-    T, omega, E, sigma = _neumann_case(40, 2, 0.3, 44)
+    T, omega, E = _neumann_case(40, 2, 0.3, 44)
     monkeypatch.setattr(pcp.certificate, "NEUMANN_MAX_TERMS", 1)
     with pytest.raises(ConvergenceError, match="after 1 applications") as err:
-        neumann_component(omega, T, E, 0.2, support_tangent_norm=sigma)
+        neumann_component(omega, T, E, 0.2)
     assert err.value.estimate >= 1e-10
 
 
@@ -383,10 +380,10 @@ def test_neumann_applies_project_support_once_per_application(monkeypatch):
         per_application.append(len(support_calls) - before)
         return out
 
-    T, omega, E, sigma = _neumann_case(60, 3, 0.3, 45)
+    T, omega, E = _neumann_case(60, 3, 0.3, 45)
     monkeypatch.setattr(pcp.certificate, "project_support", counting_support)
     monkeypatch.setattr(pcp.certificate, "_support_tangent_gram", counting_gram)
-    neumann_component(omega, T, E, 0.2, support_tangent_norm=sigma)
+    neumann_component(omega, T, E, 0.2)
     assert len(per_application) > 1
     assert per_application == [1] * len(per_application)
     assert len(support_calls) == len(per_application)
@@ -397,32 +394,51 @@ def test_neumann_rejects_offsupport_signs():
     omega = _empty_omega(10)
     E = np.zeros((10, 10))
     E[1, 1] = 1.0
-    sigma = opnorm_support_tangent(omega, T)
     with pytest.raises(ValueError, match="outside the support"):
-        neumann_component(omega, T, E, lam=0.1, support_tangent_norm=sigma)
+        neumann_component(omega, T, E, lam=0.1)
 
 
 def test_neumann_rejects_divergent_series():
-    # full support makes ||P_Omega P_T|| = 1: series refused; NaN and a
-    # negative value are no norm at all
+    # full support makes ||P_Omega P_T|| = 1: the first CG curvature
+    # ratio (round-off, about 1e-16) proves it, and the series is refused
     n = 12
     T = _subspace(n, 2, 29)
     omega = _full_omega(n)
     E = random_signs_on(omega, 30)
-    sigma = opnorm_support_tangent(omega, T)
     with pytest.raises(ValueError, match="too close to 1"):
-        neumann_component(omega, T, E, lam=0.1, support_tangent_norm=sigma)
-    for bad in (float("nan"), -0.5):
-        with pytest.raises(ValueError, match="nonnegative"):
-            neumann_component(omega, T, E, lam=0.1, support_tangent_norm=bad)
+        neumann_component(omega, T, E, lam=0.1)
+
+
+@pytest.mark.parametrize("case", ["full", "row-in-tangent"])
+def test_neumann_curvature_refuses_singular_supports(case):
+    """With sigma = 1, a CG curvature ratio d.(I - M)d / d.d falls to at
+    most 1 - (1 - 1e-6)^2 and the solve is refused as such, well before
+    the application cap; Lanczos agrees that sigma is 1."""
+    if case == "full":
+        n = 40
+        T, omega = _subspace(n, 3, 29), _full_omega(n)
+    else:
+        # U = e_1 puts all of row 0 in T, so a support holding row 0 gives
+        # sigma = 1 although it is far from full
+        n = 20
+        U = np.zeros((n, 1))
+        U[0, 0] = 1.0
+        V = generate_low_rank(n, 1, 1)[:1].T
+        T = TangentSubspace(U=U, V=V / np.linalg.norm(V))
+        mask = _random_omega(n, 0.2, 1).mask.copy()
+        mask[0, :] = True
+        omega = SupportSet(mask=mask)
+    assert opnorm_support_tangent(omega, T) >= 1.0 - 1e-6
+    E = random_signs_on(omega, 30)
+    with pytest.raises(ValueError, match=r"too close to 1.*diverges"):
+        neumann_component(omega, T, E, lam=0.1)
 
 
 def test_neumann_rejects_noninteger_signs():
     T = _subspace(8, 1, 31)
     omega = _full_omega(8)
-    sigma = opnorm_support_tangent(omega, T)
     with pytest.raises(ValueError, match="-1, 0, or"):
-        neumann_component(omega, T, np.full((8, 8), 0.5), lam=0.1, support_tangent_norm=sigma)
+        neumann_component(omega, T, np.full((8, 8), 0.5), lam=0.1)
 
 
 def test_support_arguments_must_match_the_support_shape():
@@ -433,11 +449,11 @@ def test_support_arguments_must_match_the_support_shape():
     omega = _random_omega(n, 0.3, 43)
     sigma = opnorm_support_tangent(omega, T)
     E = random_signs_on(omega, 44)
-    W = neumann_component(omega, T, E, lam=0.1, support_tangent_norm=sigma)
+    W = neumann_component(omega, T, E, lam=0.1)
     big = np.zeros((n + 1, n + 1))
     shapes = r"\(21, 21\) does not match the support shape \(20, 20\)"
     with pytest.raises(ValueError, match="E shape " + shapes):
-        neumann_component(omega, T, big, lam=0.1, support_tangent_norm=sigma)
+        neumann_component(omega, T, big, lam=0.1)
     with pytest.raises(ValueError, match="E shape " + shapes):
         verify_certificate(W, T, omega, big, 0.1, support_tangent_norm=sigma)
     with pytest.raises(ValueError, match="W shape " + shapes):
@@ -459,13 +475,13 @@ def test_tol_and_lambda_must_be_positive(value):
     omega = _random_omega(n, 0.3, 43)
     sigma = opnorm_support_tangent(omega, T)
     E = random_signs_on(omega, 44)
-    W = neumann_component(omega, T, E, lam=0.1, support_tangent_norm=sigma)
+    W = neumann_component(omega, T, E, lam=0.1)
     with pytest.raises(ValueError, match="tol must be positive"):
         opnorm_support_tangent(omega, T, tol=value)
     with pytest.raises(ValueError, match="tol must be positive"):
-        neumann_component(omega, T, E, lam=0.1, tol=value, support_tangent_norm=sigma)
+        neumann_component(omega, T, E, lam=0.1, tol=value)
     with pytest.raises(ValueError, match="lambda must be positive"):
-        neumann_component(omega, T, E, lam=value, support_tangent_norm=sigma)
+        neumann_component(omega, T, E, lam=value)
     with pytest.raises(ValueError, match="lambda must be positive"):
         verify_certificate(W, T, omega, E, value, support_tangent_norm=sigma)
 
@@ -518,7 +534,7 @@ def test_verify_flat_low_corruption_certifies():
         E = random_signs_on(omega, mix_seed(seed, 3))
         sigma = opnorm_support_tangent(omega, T)
         W_L, _ = golfing_component(omega, T)
-        W_S = neumann_component(omega, T, E, lam, support_tangent_norm=sigma)
+        W_S = neumann_component(omega, T, E, lam)
         report = verify_certificate(
             W_L + W_S, T, omega, E, lam, support_tangent_norm=sigma
         )
@@ -539,7 +555,7 @@ def test_certificate_implies_recovery():
     E = random_signs_on(omega, mix_seed(5, 3))
     sigma = opnorm_support_tangent(omega, T)
     W_L, _ = golfing_component(omega, T)
-    W_S = neumann_component(omega, T, E, lam, support_tangent_norm=sigma)
+    W_S = neumann_component(omega, T, E, lam)
     report = verify_certificate(W_L + W_S, T, omega, E, lam, support_tangent_norm=sigma)
     D = L0 + E
     result = pcp_solve(D, lam)
@@ -558,7 +574,7 @@ def test_golfing_bounds_trivial_rank_zero():
     sigma = opnorm_support_tangent(omega, T0)
     res = check_golfing_bounds(np.zeros((n, n)), T0, omega, lam=0.1, support_tangent_norm=sigma)
     assert res.a_ok and res.b_ok and res.c_ok
-    assert res.w_spectral == 0.0
+    assert res.w_l_spectral == 0.0
 
 
 def test_golfing_bounds_fail_when_scaled():
@@ -580,13 +596,29 @@ def test_golfing_bounds_reject_nan_or_negative_sigma():
             check_golfing_bounds(np.zeros((n, n)), T, omega, lam=0.1, support_tangent_norm=sigma)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 3.0])
+def test_sigma_at_or_above_one_is_refused_alike(sigma):
+    """One rule for a given sigma: the golfing bound checks refuse
+    sigma >= 1, where their budget lambda (1 - sigma)^2 means nothing, as
+    verify_certificate does."""
+    n = 20
+    T = _subspace(n, 1, 36)
+    omega = _random_omega(n, 0.3, 37)
+    E = random_signs_on(omega, 38)
+    zero = np.zeros((n, n))
+    with pytest.raises(ValueError, match="nonnegative number below 1"):
+        check_golfing_bounds(zero, T, omega, lam=0.3, support_tangent_norm=sigma)
+    with pytest.raises(ValueError, match="nonnegative number below 1"):
+        verify_certificate(zero, T, omega, E, 0.3, support_tangent_norm=sigma)
+
+
 def test_sign_bounds_zero_signs():
     n = 20
     T = _subspace(n, 1, 38)
     omega = _random_omega(n, 0.3, 39)
     res = check_sign_bounds(np.zeros((n, n)), omega, np.zeros((n, n)), 0.1, T)
     assert res.a_ok and res.b_ok and res.e_norm_ok and res.tail_ok
-    assert res.w_spectral == 0.0 and res.e_spectral == 0.0
+    assert res.w_s_spectral == 0.0 and res.e_spectral == 0.0
 
 
 def test_sign_bounds_on_pipeline_output():
@@ -602,8 +634,7 @@ def test_sign_bounds_on_pipeline_output():
         T = _subspace(n, r, mix_seed(seed, 1))
         omega = sample_golfing_partition(n, rho, default_j0(n), mix_seed(seed, 2))
         E = random_signs_on(omega, mix_seed(seed, 3))
-        sigma = opnorm_support_tangent(omega, T)
-        W_S = neumann_component(omega, T, E, lam, support_tangent_norm=sigma)
+        W_S = neumann_component(omega, T, E, lam)
         res = check_sign_bounds(W_S, omega, E, lam, T)
         hits_a += res.a_ok
         hits_e += res.e_norm_ok
@@ -741,8 +772,8 @@ def test_certificate_json_key_order_is_pinned():
     assert list(payload["wl_checks"]) == WL_KEYS
     assert list(payload["ws_checks"]) == WS_KEYS
     assert payload["alpha"] == 0.9 and payload["lambda"] == lam
-    assert payload["wl_checks"]["w_l_spectral"] == report.wl_checks.w_spectral
-    assert payload["ws_checks"]["w_s_spectral"] == report.ws_checks.w_spectral
+    assert payload["wl_checks"]["w_l_spectral"] == report.wl_checks.w_l_spectral
+    assert payload["ws_checks"]["w_s_spectral"] == report.ws_checks.w_s_spectral
 
 
 def test_certificate_json_without_corruption_has_no_sign_checks():

@@ -424,3 +424,31 @@ def test_sweep_resume_rejects_malformed_row(tmp_path, monkeypatch, capsys, row):
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert str(existing) in lines[0]
     assert (existing.read_bytes(), (tmp_path / "x.csv.json").read_bytes()) == before
+
+
+def test_certify_convergence_error_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """A Neumann solve that hits its application cap ends `pcp certify`
+    with one error line and exit status 1, not a traceback."""
+    import pcp.certificate
+    import pcp.cli
+
+    paths = {k: str(tmp_path / f"{k}.pcpm") for k in ("l0", "s0", "d")}
+    assert pcp.cli.main(["gen", "--n", "60", "--r", "2", "--rho", "0.2", "--seed", "1",
+                         "--out-l0", paths["l0"], "--out-s0", paths["s0"],
+                         "--out-d", paths["d"]]) == 0
+    monkeypatch.setattr(pcp.certificate, "NEUMANN_MAX_TERMS", 1)
+    argv = ["certify", "--l0", paths["l0"], "--s0", paths["s0"], "--lambda", "classic"]
+    assert pcp.cli.main(argv) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Neumann solve"), lines
+    assert "Traceback" not in err
+
+
+def test_solve_defaults_are_solver_config_defaults():
+    from pcp.cli import build_parser
+    from pcp.solver import SolverConfig
+
+    args = build_parser().parse_args(["solve", "--d", "d.pcpm", "--lambda", "classic"])
+    defaults = SolverConfig()
+    assert (args.tol, args.max_iters) == (defaults.tol_feasibility, defaults.max_iters)
