@@ -21,7 +21,8 @@ Each iteration forms Z = D + Y/mu once, in a buffer allocated before the
 loop. The L-step input Z - S goes to a scratch buffer, L is reconstructed
 into its own buffer, Z - L (the S-step input) overwrites Z, and the gap and
 the Y update reuse the scratch buffer, so an iteration allocates only S
-and what ``svt`` returns. D is only read.
+and what ``svt`` returns. After the loop the dual residual's S_K - S_{K-1}
+and the objective's |S| reuse the scratch buffer too. D is only read.
 
 The L step predicts its rank from the previous iterate, as in the inexact
 ALM of Lin, Chen & Ma (arXiv 1009.5055): ``svt`` is given the guess
@@ -32,8 +33,10 @@ L step's kept right singular vectors, padded with seeded Gaussian columns
 (Halko, Martinsson & Tropp, arXiv 0909.4061). It is accepted only when it
 passes the exactness gate of ``linalg.svt``: its first discarded value is
 at most 1/mu, the kept triplets are exact to working precision, and a
-seeded Lanczos run bounds the rest by 1/mu. Otherwise that iteration
-uses the full SVD. The reported objective is the sum of the last L step's
+seeded Lanczos run bounds the rest by 1/mu (wrong with probability at most
+1.7e-7 per call). Otherwise that iteration uses the full SVD, as it does
+at once when the sketch's residual shows it cannot become exact within
+its power-step cap. The reported objective is the sum of the last L step's
 shrunk singular values, which is ||L||_*, plus lambda * ||S||_1.
 """
 
@@ -156,9 +159,8 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
         mu = min(cfg.rho_mu * mu, mu_max)
 
     np.subtract(S, S_prev, out=work)
-    del S_prev  # not to be alive beside the |S| temporary below
     dual_residual = mu * float(np.linalg.norm(work)) / d_fro
-    objective = float(shrunk.singular_values.sum() + lam * np.abs(S).sum())
+    objective = float(shrunk.singular_values.sum() + lam * np.abs(S, out=work).sum())
     return SolveResult(
         L_hat=L, S_hat=S, iterations=iterations, feasibility_residual=residual,
         objective=objective, converged=converged, dual_residual=dual_residual,

@@ -7,6 +7,8 @@ on the sparse-eliminated form of the program (a different first-order method
 than the production solver). The certificate references sum the Neumann series
 term by term and run the golfing recursion on full n x n matrices, with the
 three-term tangent projector, where the library works in tangent coordinates.
+The partial-SVT gate reference runs Lanczos with an eigensolve at every step
+and the Kuczynski-Wozniakowski rule alone.
 """
 
 import math
@@ -147,3 +149,41 @@ def golfing_dense(batches, q, U, V):
         residual = _tangent_projection(UV - Y, U, V)
         trace.append(np.linalg.norm(residual))
     return Y - _tangent_projection(Y, U, V), trace
+
+
+def eager_rest_at_most(M, U, s, V, tau, start, steps=64, failure=1.7e-7 / 64):
+    """Gate (c) of the partial SVT as first written: (verdict, Lanczos steps).
+
+    Lanczos on A = R^T R / tau^2, R = M - U diag(s) V^T, with two
+    Gram-Schmidt passes and a dense eigh of the whole tridiagonal at every
+    step. Step k rejects when theta_k > 1, and accepts when the Krylov space
+    is exhausted or (2k - 1) sqrt(1 - theta_k) >= ln(1.648 sqrt(n) / failure).
+    """
+    def gram(x):
+        y = M @ x - U @ (s * (V.T @ x))
+        return (M.T @ y - V @ (s * (U.T @ y))) / (tau * tau)
+
+    n = M.shape[1]
+    target = math.log(1.648 * math.sqrt(n) / failure)
+    basis = [np.ravel(start) / np.linalg.norm(start)]
+    alphas, betas = [], []
+    for k in range(1, steps + 1):
+        w = gram(basis[-1])
+        B = np.array(basis)
+        h = B @ w
+        w = w - B.T @ h
+        w = w - B.T @ (B @ w)
+        alphas.append(h[-1])
+        beta = np.linalg.norm(w)
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz = np.linalg.eigh(T)[0]
+        theta = ritz[-1]
+        scale = max(abs(ritz[0]), abs(theta))
+        exhausted = beta <= 64 * np.finfo(float).eps * scale or k == n
+        if theta > 1.0:
+            return False, k
+        if exhausted or (2 * k - 1) * math.sqrt(1.0 - theta) >= target:
+            return True, k
+        basis.append(w / beta)
+        betas.append(beta)
+    return False, steps

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pcp
 import pcp.linalg
 from pcp.linalg import (
     ConvergenceError,
@@ -14,7 +15,7 @@ from pcp.linalg import (
     svd,
     svt,
 )
-from oracles import prox_l1_scalar_by_search, scalar_soft_threshold
+from oracles import eager_rest_at_most, prox_l1_scalar_by_search, scalar_soft_threshold
 
 
 def _rand(n, m, seed):
@@ -179,6 +180,41 @@ def _count_full_svds(monkeypatch):
     return calls
 
 
+def _count_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda A: calls.append(1) or qr(A))
+    return calls
+
+
+def _record_gates(monkeypatch):
+    """Verdicts of gate (c), one per call, in call order."""
+    verdicts = []
+    gate = pcp.linalg._rest_at_most
+
+    def recording(*args):
+        verdicts.append(gate(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(pcp.linalg, "_rest_at_most", recording)
+    return verdicts
+
+
+def _count_lanczos_steps(monkeypatch):
+    """Steps of every _lanczos run, one entry per run."""
+    steps = []
+    lanczos = pcp.linalg._lanczos
+
+    def counting(*args):
+        steps.append(0)
+        for step in lanczos(*args):
+            steps[-1] += 1
+            yield step
+
+    monkeypatch.setattr(pcp.linalg, "_lanczos", counting)
+    return steps
+
+
 def _assert_matches_full_svt(got, M, tau, rtol=1e-9):
     """Kept values and prox within rtol relative of a direct full SVD."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
@@ -236,9 +272,12 @@ def test_partial_svt_cluster_at_tau_falls_back(monkeypatch, above, below, start)
     With (3, 50), the sketch's Ritz values all land below tau and its top
     triplet converges, so only gate (c), the Lanczos bound on the discarded
     part, keeps the partial path from dropping the three values above tau.
-    A warm start from the top singular vector (as pcp_solve would give after
-    an L step that kept one triplet) or from a random block falls back the
-    same way.
+    With (15, 15), gate (b)'s residual shrinks too slowly to pass within the
+    cap of 10 power steps, and the sketch gives up at its third
+    Rayleigh-Ritz step, after 3 QR factorizations (12 when it ran to the
+    cap). A warm start from the top singular vector (as pcp_solve would give
+    after an L step that kept one triplet) or from a random block falls back
+    the same way.
     """
     n = 200
     values = np.concatenate([[5.0], np.full(above, 1.001), np.full(below, 0.999)])
@@ -248,8 +287,14 @@ def test_partial_svt_cluster_at_tau_falls_back(monkeypatch, above, below, start)
     elif start == "random":
         start = np.linalg.qr(np.random.default_rng(28).standard_normal((n, 2)))[0]
     calls = _count_full_svds(monkeypatch)
+    gates = _record_gates(monkeypatch)
+    qr_calls = _count_qr(monkeypatch)
     got = svt(M, 1.0, rank_guess=2, start=start)
     assert calls == [(n, n)]
+    if below == 50:
+        assert gates == [False]
+    else:
+        assert gates == [] and len(qr_calls) == 3
     _assert_matches_full_svt(got, M, 1.0)
 
 
@@ -277,6 +322,116 @@ def test_partial_svt_one_value_above_tau_in_the_rest_falls_back(monkeypatch):
         _assert_matches_full_svt(got, M, 1.0)
 
 
+def test_partial_svt_value_above_tau_behind_a_small_rest_falls_back(monkeypatch):
+    """A value at 1.05 tau behind a rest of at most 0.1 tau, where gate (c)'s
+    Chebyshev rule would accept within 6 Lanczos steps. The start block
+    holds the top right singular vector and is orthogonal to the hidden
+    value's, so the sketch never sees it and gates (a) and (b) pass:
+    over 100 seeded matrices gate (c) rejects every time and the call falls
+    back."""
+    n, values = 200, np.concatenate([[5.0, 1.05], np.linspace(0.1, 0.01, 60)])
+    calls = _count_full_svds(monkeypatch)
+    gates = _record_gates(monkeypatch)
+    for seed in range(100):
+        rng = np.random.default_rng(3000 + seed)
+        U = np.linalg.qr(rng.standard_normal((n, values.size)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, values.size)))[0]
+        M = (U * values) @ V.T
+        start = rng.standard_normal((n, 9))
+        start[:, 0] = V[:, 0]
+        start -= np.outer(V[:, 1], V[:, 1] @ start)
+        got = svt(M, 1.0, rank_guess=1, start=start)
+        assert gates == [False] * (seed + 1), f"seed {3000 + seed} accepted the sketch"
+        assert len(calls) == seed + 1
+        _assert_matches_full_svt(got, M, 1.0)
+
+
+def _chebyshev_bound(n, k, a, c):
+    """sqrt(2na / (pi (c - a))) / T_{k-1}(2/c - 1), T from numpy's Chebyshev series."""
+    t = np.polynomial.chebyshev.chebval(2.0 / c - 1.0, [0.0] * (k - 1) + [1.0])
+    return np.sqrt(2 * n * a / (np.pi * (c - a))) / t
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_gate_limits_follow_the_two_bounds(n):
+    """Gate (c) at step k accepts theta_k <= a_k. Each a_k is the
+    Kuczynski-Wozniakowski limit or, where larger, an a that the Chebyshev
+    bound proves at the per-step budget p for some c > a of the grid; a 1%
+    larger a is proven by no c. a_k grows with k and stays below 1."""
+    p = 1.7e-7 / 64
+    limits = np.array(pcp.linalg._gate_limits(n))
+    k = np.arange(1, 65)
+    kw = 1.0 - (np.log(1.648 * np.sqrt(n) / p) / (2 * k - 1)) ** 2
+    assert limits.shape == (64,) and limits[-1] < 1.0
+    assert np.all(np.diff(limits) > 0) and np.all(limits >= kw)
+    grid = [c for c, _ in pcp.linalg._GATE_C]
+    for step, a, kw_a in zip(k, limits, kw):
+        if a == kw_a:
+            continue
+        proven = [_chebyshev_bound(n, step, a, c) for c in grid if c > a]
+        assert min(proven) <= p * (1 + 1e-9), step
+        looser = [_chebyshev_bound(n, step, 1.01 * a, c) for c in grid if c > 1.01 * a]
+        assert min(looser) > p, step
+    assert 0 < limits[7] < 0.13 and kw[7] < 0  # step 8: only the Chebyshev rule accepts
+    # the bound grows with a and falls with k, so each accept set is theta <= a_k
+    a = np.linspace(0.01, 0.5, 50)
+    assert np.all(np.diff(_chebyshev_bound(n, 8, a, 0.6)) > 0)
+    assert np.all(np.diff([_chebyshev_bound(n, s, 0.2, 0.6) for s in range(1, 30)]) < 0)
+
+
+@pytest.mark.parametrize("top", [0.1, 0.5, 0.9, 0.99, 0.999, 1.001, 1.05, 1.2])
+def test_gate_agrees_with_the_eager_reference(monkeypatch, top):
+    """Against oracles.eager_rest_at_most (an eigensolve at every step, the
+    Kuczynski-Wozniakowski rule alone), over planted rests whose top is
+    `top` tau: a flat rest, a linear one, and one value above a rest of
+    half of it. Gate (c) gives the same verdict and never takes more
+    Lanczos steps. For a rest at most half of tau it takes fewer, except on
+    the flat rest, whose two eigenvalues exhaust the Krylov space at step 2
+    either way."""
+    n = 200
+    steps = _count_lanczos_steps(monkeypatch)
+    rests = {
+        "flat": np.full(60, top),
+        "linear": np.linspace(top, 0.0, 120),
+        "one": np.concatenate([[top], np.linspace(0.5 * min(top, 1.0), 0.0, 100)]),
+    }
+    for name, rest in rests.items():
+        for seed in range(3):
+            rng = np.random.default_rng(4000 + seed)
+            U = np.linalg.qr(rng.standard_normal((n, rest.size + 1)))[0]
+            V = np.linalg.qr(rng.standard_normal((n, rest.size + 1)))[0]
+            M = (U * np.concatenate([[5.0], rest])) @ V.T
+            args = (M, U[:, :1], np.array([5.0]), V[:, :1], 1.0, rng.standard_normal((n, 1)))
+            want, want_steps = eager_rest_at_most(*args)
+            got = pcp.linalg._rest_at_most(*args)
+            assert got == want, (name, seed)
+            if top <= 0.9 or top > 1.0:  # near-ties reach the 64-step cap: False
+                assert got == (top < 1.0), (name, seed)
+            assert steps[-1] <= want_steps, (name, seed)
+            if top <= 0.5 and name != "flat":
+                assert steps[-1] < want_steps, (name, seed)
+
+
+def test_gate_work_on_a_recoverable_solve(monkeypatch):
+    """pcp_solve at n=400, r=1, rho=0.1, C1=0.8 (instance seed 0): gate (c)
+    runs on each of the 15 iterations and accepts, in at most 11 Lanczos
+    steps and 2 eigensolves a gate and 111 steps in all (13-14 steps a gate,
+    each with an eigensolve, and 196 in all, by the Kuczynski-Wozniakowski
+    rule alone)."""
+    steps = _count_lanczos_steps(monkeypatch)
+    gates = _record_gates(monkeypatch)
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda T: solves.append(len(steps)) or eigvalsh(T))
+    inst = pcp.make_instance(400, 1, 0.1, 0)
+    result = pcp.pcp_solve(inst.D, pcp.lambda_dense(400, 0.1, 0.8))
+    assert result.converged and gates == [True] * result.iterations
+    gate_steps = steps[1:]  # the first run is spectral_norm(D)
+    assert len(gate_steps) == len(gates)
+    assert max(gate_steps) <= 11 and sum(gate_steps) <= 111
+    assert max(solves.count(run) for run in range(2, len(steps) + 1)) <= 2
+
+
 @pytest.mark.parametrize("kind", ["top", "wide", "orthogonal"])
 def test_partial_svt_warm_start_gives_full_svd_triplets(monkeypatch, kind):
     """A start spanning the top right singular vectors, or orthogonal to
@@ -295,9 +450,7 @@ def test_partial_svt_warm_start_gives_full_svd_triplets(monkeypatch, kind):
         start = np.linalg.qr(block - top @ (top.T @ block))[0]
         assert np.abs(top.T @ start).max() <= 1e-12
     calls = _count_full_svds(monkeypatch)
-    qr_calls = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda A: qr_calls.append(1) or qr(A))
+    qr_calls = _count_qr(monkeypatch)
     got = svt(M, 1.0, rank_guess=3, start=start)
     assert calls == []
     _assert_matches_full_svt(got, M, 1.0, rtol=1e-10)
