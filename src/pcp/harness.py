@@ -54,8 +54,11 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a nonempty list, got {values!r}")
         for n in self.n_list:
             _check_int("n_list entries", n)
+        # integer fields are kept as int: a numpy integer would not reach JSON
+        self.n_list = type(self.n_list)(int(n) for n in self.n_list)
         for name in ("r", "trials", "base_seed"):
             _check_int(name, getattr(self, name))
+            setattr(self, name, int(getattr(self, name)))
         if len(set(self.n_list)) != len(self.n_list):
             raise ValueError(f"n_list repeats a dimension: {self.n_list}")
         if not 1 <= self.r <= min(self.n_list):

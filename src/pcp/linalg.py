@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives: SVD, proximal operators, spectral norm.
 
-Everything operates on plain 2-D float64 numpy arrays. All functions are
-pure; the only state kept is a cache of gate (c)'s accept limits per
-matrix size, computed from constants alone, so concurrent use is safe.
+Everything operates on plain 2-D float64 numpy arrays; no eigenproblem is
+solved for svt's exactness gate. All functions are pure; the only state
+kept is gate (c)'s accept limits per matrix size, so concurrent use is safe.
 """
 
 import functools
@@ -31,14 +31,11 @@ _SVT_GATE_FAILURE = 1.7e-7 / _SVT_GATE_STEPS
 # and this grid comes within 3.5% of the best a_k at every step from k = 3 on
 # (n = 200 and 800)
 _GATE_C = tuple((c, math.acosh(2.0 / c - 1.0)) for c in (2.0 ** (-j / 16) for j in range(1, 321)))
-# gate (c) solves its tridiagonal once its pivots show a Ritz value above this
-_REJECT_SHIFT = 1.0 - 1e-12
+# gate (c): beta_k within 64 ulps of T_k's Gershgorin radius, an exhausted Krylov space
+_SVT_GATE_EXHAUSTED = 64 * float(np.finfo(float).eps)
 
 DEFAULT_TOL = 1e-8
 LANCZOS_STEP_CAP = 1000
-# beta_k below this many ulps of the spectrum's scale: Krylov space exhausted
-_EXHAUSTED_FACTOR = 64
-_EPS = float(np.finfo(float).eps)
 
 
 class ConvergenceError(RuntimeError):
@@ -131,14 +128,13 @@ def svt(
         holds by construction); and
     (c) a seeded Lanczos run bounds ||R||, R = M - U_r S_r V_r^T the rest, by
         tau (see _rest_at_most). Step k accepts when its top Ritz value
-        theta_k of R^T R / tau^2 is at most a limit fixed in advance, the
+        theta_k of R^T R / tau^2 is below a limit fixed in advance, the
         larger of two rules': Kuczynski & Wozniakowski's bound and the
         Chebyshev form it weakens, which accepts a rest well below tau in
         fewer steps. Either way a step accepts wrongly with probability at
         most 1.7e-7 / 64, so one of at most 64 steps does with probability
-        at most 1.7e-7 (union bound). The run solves its tridiagonal only at
-        steps where an accept, a reject (theta_k > 1) or an exhausted Krylov
-        space is possible, and reaches the verdict of a solve at every step.
+        at most 1.7e-7 (union bound). No eigenproblem is solved: the signs
+        of pivots of the Lanczos tridiagonal decide (Sylvester's law).
 
     (a) and (b) alone can accept a sketch that missed values above tau: a
     sketch of l columns cannot see a few values just above tau among many
@@ -237,10 +233,15 @@ def _rest_at_most(M, U, s, V, tau, start) -> bool:
     never decreases in k and never exceeds lambda. The model is exact
     arithmetic, which the full reorthogonalization in _lanczos makes fair.
 
-    Verdicts after step k: theta_k > 1 proves ||R|| > tau, so False; an
-    exhausted Krylov space gives theta_k = lambda, so True; and so does
-    theta_k <= a_k, a_k = _gate_limits(n)[k - 1] fixed in advance. That
-    accept is wrong only if lambda > 1 and theta_k <= a_k, which has
+    Step k decides by the signs of LDL^T pivots of T_k (_all_below), in order:
+    - theta_k >= 1 proves ||R|| >= tau: False. Only the last pivot of
+      T_k - I is new, so this costs O(1) a step.
+    - theta_k < a_k, a_k = _gate_limits(n)[k - 1] fixed in advance: True.
+      T_k - a_k I is factored anew, up to its first pivot that is not
+      negative, usually the first (alpha_1 is the start's Rayleigh quotient).
+    - beta_k within 64 ulps of T_k's Gershgorin radius: the Krylov space is
+      exhausted, so theta_k = lambda, and lambda < 1: True.
+    The accept is wrong only if lambda > 1 and theta_k < a_k, which has
     probability at most p = _SVT_GATE_FAILURE by either of two bounds:
 
     - Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 13, 1992):
@@ -261,50 +262,47 @@ def _rest_at_most(M, U, s, V, tau, start) -> bool:
       Wendel's inequality. Solved for a at bound p, each c of _GATE_C gives
       an accepted a < c, and a_k takes the largest.
 
-    a_k is the larger of the two rules' limits, and theta_k <= a_k is one
-    of the two events, so each step accepts wrongly with probability at
+    a_k is the larger of the two rules' limits, and theta_k < a_k lies in
+    one of the two events, so each step accepts wrongly with probability at
     most p. Over at most 64 steps the union bound gives 64 p = 1.7e-7; no
-    verdict by then gives False.
-
-    The tridiagonal T_k is solved (eigvalsh) only at steps where a verdict
-    is possible, each found in O(1) per step:
-    - an accept, once a lower bound on theta_k is at most a_k: the last
-      theta solved for, or the largest diagonal entry of T_k (each is a
-      Rayleigh quotient);
-    - a reject, once an LDL^T pivot of T_k - (1 - 1e-12) I is >= 0: by
-      Sylvester's law of inertia a Ritz value then exceeds 1 - 1e-12, the
-      margin covering the round-off of eigvalsh;
-    - exhaustion, once beta_k is within twice the exhaustion test of the
-      Gershgorin radius of T_k, which bounds every Ritz value.
-    So the gate reaches the verdict a solve at every step would, at the same
-    step; at all other steps it pays only the matvec and the
-    reorthogonalization.
+    verdict by then gives False. The pivot recurrence is backward stable
+    (Kahan 1966; Demmel, Applied Numerical Linear Algebra, 5.3.4): its signs
+    are exact for a tridiagonal a few ulps from T_k. A NaN pivot rejects,
+    and a reject only routes the call to the exact full SVD.
     """
     def gram(x):
         y = M @ x - U @ (s * (V.T @ x))
         return (M.T @ y - V @ (s * (U.T @ y))) / (tau * tau)
 
-    low, radius, pivot, beta_prev, above = -math.inf, 0.0, -1.0, 0.0, False
-    for limit, (alpha, beta, tri) in zip(_gate_limits(M.shape[1]), _lanczos(gram, start)):
-        low = max(low, alpha)  # at most theta_k
-        radius = max(radius, abs(alpha) + beta_prev + beta)  # at least ||T_k||
-        if not above:  # pivots of earlier steps are final, so it stays above
-            pivot = alpha - _REJECT_SHIFT - beta_prev * beta_prev / pivot
-            above = pivot >= 0.0
-        beta_prev = beta
-        if low <= limit or above or beta <= 2 * _EXHAUSTED_FACTOR * _EPS * radius:
-            ritz = np.linalg.eigvalsh(tri)
-            low = float(ritz[-1])
-            if low > 1.0:
-                return False
-            if low <= limit or _exhausted(beta, ritz):
-                return True
+    diag, off, pivot, radius = [], [0.0], -1.0, 0.0  # T_k as _all_below takes it
+    for limit, (alpha, beta, _) in zip(_gate_limits(M.shape[1]), _lanczos(gram, start)):
+        diag.append(alpha)
+        pivot = alpha - 1.0 - off[-1] * off[-1] / pivot  # the new pivot of T_k - I
+        if not pivot < 0.0:
+            return False
+        radius = max(radius, abs(alpha) + off[-1] + beta)  # at least ||T_k||
+        if _all_below(diag, off, limit) or beta <= _SVT_GATE_EXHAUSTED * radius:
+            return True
+        off.append(beta)
     return False
+
+
+def _all_below(diag, off, shift) -> bool:
+    """Whether every eigenvalue of the symmetric tridiagonal T with diagonal
+    ``diag`` and off-diagonal ``off[1:]`` (off[0] = 0) is below ``shift``:
+    whether every LDL^T pivot of T - shift I is negative (Sylvester's law of
+    inertia). Stops at the first that is not; a NaN one is not negative."""
+    pivot = -1.0
+    for a, b in zip(diag, off):
+        pivot = a - shift - b * b / pivot
+        if not pivot < 0.0:
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
 def _gate_limits(n: int) -> Tuple[float, ...]:
-    """a_1, ..., a_64: gate (c) at step k accepts theta_k <= a_k (see _rest_at_most)."""
+    """a_1, ..., a_64: gate (c) at step k accepts theta_k < a_k (see _rest_at_most)."""
     target = math.log(1.648 * math.sqrt(n) / _SVT_GATE_FAILURE)
     # Chebyshev rule: bound = p at a = c q / (1 + q), q = pi p^2 T^2 / (2n),
     # T = cosh m, m = (k - 1) arccosh(2/c - 1); log T is taken without
@@ -333,9 +331,8 @@ def _lanczos(matvec, v0) -> Iterator[Tuple[float, float, np.ndarray]]:
     valid until the next step); alpha_k is its last diagonal entry, and
     beta_k the norm of the new residual, T_{k+1}'s next off-diagonal entry.
     At k = dim the space is the whole space and beta_k is reported as 0.
-    The loop solves no eigenproblem: the caller does, at the steps it needs,
-    and stops once _exhausted says theta_k is exact. Deterministic for fixed
-    inputs.
+    No eigenproblem is solved here: sqrt_top_eigenvalue solves T_k, and gate
+    (c) reads only its inertia. Deterministic for fixed inputs.
     """
     v0 = np.asarray(v0, dtype=np.float64).ravel()
     nv = np.linalg.norm(v0)
@@ -368,12 +365,6 @@ def _lanczos(matvec, v0) -> Iterator[Tuple[float, float, np.ndarray]]:
         tri[k, k + 1] = tri[k + 1, k] = beta
 
 
-def _exhausted(beta: float, ritz: np.ndarray) -> bool:
-    """Whether beta_k is ~0 against the Ritz values' scale (ascending ``ritz``,
-    those of T_k), so the Krylov space is exhausted and theta_k exact."""
-    return beta <= _EXHAUSTED_FACTOR * _EPS * max(abs(ritz[0]), abs(ritz[-1]))
-
-
 def sqrt_top_eigenvalue(
     gram_matvec: Callable[[np.ndarray], np.ndarray],
     v0: np.ndarray,
@@ -382,10 +373,9 @@ def sqrt_top_eigenvalue(
     """Operator norm ||A|| from the matvec of the Gram operator A^T A.
 
     Runs _lanczos from ``v0``, solving its tridiagonal at every step, until
-    the Ritz residual bound proves an eigenvalue of A^T A within
-    tol * |theta| of the top Ritz value theta, or the Krylov space is
-    exhausted, and returns sqrt(max(theta, 0)), clamped at 0 against
-    round-off.
+    the Ritz residual bound beta_k |s_k| proves an eigenvalue of A^T A within
+    tol * |theta| of the top Ritz value theta (beta_k ~ 0 on an exhausted
+    Krylov space), and returns sqrt(max(theta, 0)), clamped against round-off.
 
     Raises
     ------
@@ -399,9 +389,8 @@ def sqrt_top_eigenvalue(
     for _, (_, beta, tri) in zip(range(LANCZOS_STEP_CAP), _lanczos(gram_matvec, v0)):
         ritz, vecs = np.linalg.eigh(tri)
         theta = float(ritz[-1])
-        # beta_k |s_k|, s_k the last entry of theta's Ritz vector, bounds its
-        # distance to an eigenvalue
-        if beta * abs(vecs[-1, -1]) <= tol * abs(theta) or _exhausted(beta, ritz):
+        # s_k = vecs[-1, -1], the last entry of theta's Ritz vector
+        if beta * abs(vecs[-1, -1]) <= tol * abs(theta):
             return math.sqrt(max(theta, 0.0))
     raise ConvergenceError(
         f"Lanczos did not reach tol={tol} in {LANCZOS_STEP_CAP} steps",

@@ -6,6 +6,8 @@ Philox uniforms. Derived seeds (per trial, per sweep cell) are obtained with
 the splitmix64 mixing function so independent streams never share state.
 """
 
+import operator
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -30,17 +32,18 @@ def mix_seed(base: int, *parts: int) -> int:
 
     Feeding the same (base, parts) always yields the same seed; any change
     to a part decorrelates the stream. Used for per-cell seeds in sweeps and
-    for sub-streams within one problem instance.
+    for sub-streams within one problem instance. Any integer type works,
+    numpy's included: each value is taken as a Python int modulo 2^64.
     """
-    h = base & _MASK64
+    h = operator.index(base) & _MASK64
     for p in parts:
-        h = splitmix64(h ^ (p & _MASK64))
+        h = splitmix64(h ^ (operator.index(p) & _MASK64))
     return h
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Philox4x64 generator for the given 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    """Philox4x64 generator for the given seed, of any integer type, modulo 2^64."""
+    return np.random.Generator(np.random.Philox(key=operator.index(seed) & _MASK64))
 
 
 def normal_matrix(rng: np.random.Generator, rows: int, cols: int, std: float) -> np.ndarray:

@@ -68,6 +68,7 @@ class SolverConfig:
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) \
                 or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        self.max_iters = int(self.max_iters)  # a numpy integer would not reach JSON
         if self.rho_mu <= 1.0:
             raise ValueError("rho_mu must be > 1")
 
@@ -99,7 +100,8 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
     ----------
     D : square data matrix
     lam : finite positive weight on the sparse term
-    cfg : schedule constants; defaults are sized for desk-scale matrices
+    cfg : a SolverConfig of schedule constants, sized by default for
+          desk-scale matrices; anything else raises ValueError at once
 
     Returns the final iterate, with converged=False when the feasibility
     tolerance was not met within cfg.max_iters; its primal and dual
@@ -112,6 +114,8 @@ def pcp_solve(D: np.ndarray, lam: float, cfg: Optional[SolverConfig] = None) -> 
         raise ValueError(f"lambda must be finite and positive, got {lam}")
     if cfg is None:
         cfg = SolverConfig()
+    elif not isinstance(cfg, SolverConfig):
+        raise ValueError(f"cfg must be a SolverConfig, got {type(cfg).__name__}")
 
     d_fro = float(np.linalg.norm(D))
     if d_fro == 0.0:

@@ -3,11 +3,11 @@ single [C## PASS/FAIL] line with the measured quantities.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines. Beside C04 and C06, two unnumbered tests check the finite-size
-explanations in their docstrings. The whole test suite takes about 7
-minutes on 2 cores (OpenBLAS), about 345 s of it in the two full n=400
-sweeps shared by criteria 7 and 8.
+explanations in their docstrings. The whole test suite takes about 220 s
+on 2 cores with one OpenBLAS thread (OPENBLAS_NUM_THREADS=1), about 170 s
+of it in the two full n=400 sweeps shared by criteria 7 and 8.
 Those two are marked ``slow``; `pytest -m "not slow"` leaves them out and
-takes about 80 s.
+takes about 55 s.
 """
 
 import math

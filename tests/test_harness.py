@@ -290,6 +290,23 @@ def test_config_hash_golden_pins():
     assert config_hash(tiny_config()) != config_hash(tiny_config(base_seed=99))
 
 
+def test_numpy_integer_config_runs_like_its_python_twin(tmp_path):
+    """Both configs validate integers as numbers.Integral, so one built from
+    numpy integers builds, runs every cell, hashes and writes its CSV and
+    sidecar byte for byte as its Python-int twin."""
+    i64 = np.int64
+    twin = tiny_config(n_list=[20], rho_grid=[0.1], trials=1)
+    cfg = tiny_config(n_list=[i64(20)], rho_grid=[0.1], r=i64(1), trials=i64(1),
+                      base_seed=i64(7), solver=SolverConfig(max_iters=i64(300)))
+    assert config_hash(cfg) == config_hash(twin)
+    for name, c in (("numpy", cfg), ("python", twin)):
+        result = run_sweep(c)
+        emit_csv(result, tmp_path / f"{name}.csv")
+        write_sidecar(result, tmp_path / f"{name}.csv")
+    for suffix in (".csv", ".csv.json"):
+        assert (tmp_path / f"numpy{suffix}").read_bytes() == (tmp_path / f"python{suffix}").read_bytes()
+
+
 def test_config_json_round_trip():
     cfg = tiny_config()
     back = SweepConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))

@@ -354,7 +354,7 @@ def _chebyshev_bound(n, k, a, c):
 
 @pytest.mark.parametrize("n", [200, 800])
 def test_gate_limits_follow_the_two_bounds(n):
-    """Gate (c) at step k accepts theta_k <= a_k. Each a_k is the
+    """Gate (c) at step k accepts theta_k < a_k. Each a_k is the
     Kuczynski-Wozniakowski limit or, where larger, an a that the Chebyshev
     bound proves at the per-step budget p for some c > a of the grid; a 1%
     larger a is proven by no c. a_k grows with k and stays below 1."""
@@ -415,21 +415,83 @@ def test_gate_agrees_with_the_eager_reference(monkeypatch, top):
 def test_gate_work_on_a_recoverable_solve(monkeypatch):
     """pcp_solve at n=400, r=1, rho=0.1, C1=0.8 (instance seed 0): gate (c)
     runs on each of the 15 iterations and accepts, in at most 11 Lanczos
-    steps and 2 eigensolves a gate and 111 steps in all (13-14 steps a gate,
-    each with an eigensolve, and 196 in all, by the Kuczynski-Wozniakowski
-    rule alone)."""
+    steps a gate and 111 in all (13-14 steps a gate, each with an
+    eigensolve, and 196 in all, by the Kuczynski-Wozniakowski rule alone),
+    and solves no eigenproblem: every verdict comes from pivot signs."""
     steps = _count_lanczos_steps(monkeypatch)
     gates = _record_gates(monkeypatch)
     solves = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda T: solves.append(len(steps)) or eigvalsh(T))
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda T, solver=solver: solves.append(len(steps)) or solver(T))
     inst = pcp.make_instance(400, 1, 0.1, 0)
     result = pcp.pcp_solve(inst.D, pcp.lambda_dense(400, 0.1, 0.8))
     assert result.converged and gates == [True] * result.iterations
     gate_steps = steps[1:]  # the first run is spectral_norm(D)
     assert len(gate_steps) == len(gates)
     assert max(gate_steps) <= 11 and sum(gate_steps) <= 111
-    assert max(solves.count(run) for run in range(2, len(steps) + 1)) <= 2
+    assert all(run == 1 for run in solves)  # spectral_norm's eigh, in run 1 only
+
+
+@st.composite
+def _tridiagonals(draw):
+    """Symmetric tridiagonals of order 1-64; about half the off-diagonal
+    entries are zero, which splits the matrix into decoupled blocks."""
+    k = draw(st.integers(1, 64))
+    entry = st.floats(-100.0, 100.0)
+    diag = draw(st.lists(entry, min_size=k, max_size=k))
+    off = draw(st.lists(st.one_of(st.just(0.0), entry), min_size=k - 1, max_size=k - 1))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tridiagonals(), st.data())
+def test_inertia_test_agrees_with_eigvalsh(tri, data):
+    """_all_below(T, shift) is whether every eigenvalue of T is below shift,
+    by pivot signs alone: true a hair above the top eigenvalue lambda, false
+    a hair below it and at every eigenvalue under it. The hair is 1e-9
+    ||T||, i.e. lambda (1 +- 1e-9) for a positive semidefinite T, the gate's
+    case. A NaN entry, anywhere, never reads as all below."""
+    def all_below(tri, shift):  # in the gate's layout: off[0] = 0
+        return pcp.linalg._all_below(tri.diagonal().tolist(),
+                                     [0.0, *tri.diagonal(1).tolist()], shift)
+
+    ritz = np.linalg.eigvalsh(tri)
+    top, hair = ritz[-1], 1e-9 * (np.abs(ritz).max() or 1.0)
+    assert all_below(tri, top + hair)
+    assert not all_below(tri, top - hair)
+    for value in ritz[ritz < top - hair]:
+        assert not all_below(tri, value)
+    k = tri.shape[0]
+    i, j = data.draw(st.sampled_from([(i, i) for i in range(k)]
+                                     + [(i, i + 1) for i in range(k - 1)]))
+    tri[i, j] = tri[j, i] = np.nan
+    for shift in (top + hair, 1e300, np.inf):
+        assert not all_below(tri, shift)
+
+
+@pytest.mark.parametrize("steps", [
+    pytest.param([(np.nan, 0.5)], id="alpha"),
+    pytest.param([(0.5, np.nan), (0.5, 0.0)], id="beta"),
+    pytest.param([(1e-3, 1e-3), (np.nan, 0.0)], id="later-alpha"),
+])
+def test_gate_rejects_a_nan_step(monkeypatch, steps):
+    """A NaN in the tridiagonal rejects the sketch (the call falls back to
+    the full SVD) and never accepts, even where the next step would show an
+    exhausted Krylov space."""
+    def lanczos(matvec, v0):
+        tri = np.zeros((len(steps), len(steps)))
+        for k, (alpha, beta) in enumerate(steps):
+            tri[k, k] = alpha
+            yield alpha, beta, tri[: k + 1, : k + 1]
+            if k + 1 < len(steps):
+                tri[k, k + 1] = tri[k + 1, k] = beta
+
+    monkeypatch.setattr(pcp.linalg, "_lanczos", lanczos)
+    M = np.eye(20)
+    args = (M, M[:, :1], np.array([1.0]), M[:, :1], 1.0, np.ones((20, 1)))
+    assert pcp.linalg._rest_at_most(*args) is False
 
 
 @pytest.mark.parametrize("kind", ["top", "wide", "orthogonal"])

@@ -36,6 +36,16 @@ def test_mix_seed_sensitivity():
     assert base != mix_seed(8, 100, 3, 0)
 
 
+def test_seeds_take_numpy_integers():
+    """A numpy integer seeds as the Python int of its value, modulo 2^64,
+    negative ones included, and so does every generator built on it."""
+    assert mix_seed(np.int64(-1), np.int64(3)) == mix_seed(-1, 3)
+    assert mix_seed(np.uint64(2**64 - 1), np.int32(5)) == mix_seed(-1, 5)
+    np.testing.assert_array_equal(make_rng(np.int64(-5)).random(4), make_rng(-5).random(4))
+    np.testing.assert_array_equal(make_instance(50, 1, 0.1, np.int64(5)).D,
+                                  make_instance(50, 1, 0.1, 5).D)
+
+
 def test_philox_stream_is_reproducible():
     a = make_rng(99).random(8)
     b = make_rng(99).random(8)

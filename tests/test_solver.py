@@ -156,6 +156,17 @@ def test_solver_input_validation():
             SolverConfig(**bad)
 
 
+def test_solver_refuses_a_cfg_that_is_not_a_solver_config(monkeypatch):
+    """A dict cfg fails with one ValueError before any compute, not with an
+    AttributeError after spectral_norm(D)."""
+    def no_compute(*args, **kwargs):
+        raise AssertionError("spectral_norm ran before cfg was checked")
+
+    monkeypatch.setattr(pcp.solver, "spectral_norm", no_compute)
+    with pytest.raises(ValueError, match="cfg must be a SolverConfig, got dict"):
+        pcp_solve(np.ones((3, 3)), 0.1, {"max_iters": 3})
+
+
 def _spy_prox_calls(monkeypatch):
     """Record every svt call (its start and result) and soft_threshold call
     the solver makes through its module namespace."""
