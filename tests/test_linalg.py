@@ -453,9 +453,9 @@ def test_inertia_test_agrees_with_eigvalsh(tri, data):
     a hair below it and at every eigenvalue under it. The hair is 1e-9
     ||T||, i.e. lambda (1 +- 1e-9) for a positive semidefinite T, the gate's
     case. A NaN entry, anywhere, never reads as all below."""
-    def all_below(tri, shift):  # in the gate's layout: off[0] = 0
+    def all_below(tri, shift):  # in the gate's layout, Python floats with off[0] = 0
         return pcp.linalg._all_below(tri.diagonal().tolist(),
-                                     [0.0, *tri.diagonal(1).tolist()], shift)
+                                     [0.0, *tri.diagonal(1).tolist()], float(shift))
 
     ritz = np.linalg.eigvalsh(tri)
     top, hair = ritz[-1], 1e-9 * (np.abs(ritz).max() or 1.0)
